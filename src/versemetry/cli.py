@@ -448,8 +448,8 @@ def cmd_hapax_fit(args: argparse.Namespace) -> int:
     out = Path(args.out) / "hapax"
     poem = corpus.poem(args.poem)
     index = build_compound_index(corpus)
-    first = args.first or 1
-    last = args.last or poem.line_count
+    first = 1 if args.first is None else args.first
+    last = poem.line_count if args.last is None else args.last
     series, fit = hapax_cumulative_fit(poem, index.hapax_set, first, last)
     write_table(out, f"series-{poem.id}", ("line", "cumulative"),
                 [{"line": x, "cumulative": y} for x, y in series], args.format)
@@ -490,8 +490,8 @@ def cmd_hapax_segments(args: argparse.Namespace) -> int:
     fits, combined = segment_fits(units, mode, index.hapax_set)
     rows = []
     for (poem, first, last), fit in zip(units, fits):
-        lo = first or 1
-        hi = last or poem.line_count
+        lo = 1 if first is None else first
+        hi = poem.line_count if last is None else last
         series, _ = hapax_cumulative_fit(poem, index.hapax_set, lo, hi)
         rows.append(_fit_row(f"{poem.id}:{lo}-{hi}", lo, hi, series, fit))
     total_hapax = sum(row["n_hapax"] for row in rows)

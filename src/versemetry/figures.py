@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import AnalysisError
-from .ngramcluster import Dendrogram
+from .ngramcluster import Dendrogram, leaf_members
 from .stats import ols_fit
 
 __all__ = ["FigureKind", "FigureSpec", "render_figure"]
@@ -220,19 +220,6 @@ def _render_stacked_area(canvas: _Canvas, spec: FigureSpec) -> None:
     _legend(canvas, [label for label, _ in layers])
 
 
-def _leaf_order(tree: Dendrogram) -> list[int]:
-    n = len(tree.leaves)
-    children = {n + i: (a, b) for i, (a, b, _) in enumerate(tree.merges)}
-
-    def walk(node: int) -> list[int]:
-        if node < n:
-            return [node]
-        a, b = children[node]
-        return walk(a) + walk(b)
-
-    return walk(n + len(tree.merges) - 1) if tree.merges else list(range(n))
-
-
 def _render_dendrogram(canvas: _Canvas, spec: FigureSpec) -> None:
     label, tree = spec.series[0]
     if not isinstance(tree, Dendrogram) or not tree.leaves:
@@ -242,7 +229,8 @@ def _render_dendrogram(canvas: _Canvas, spec: FigureSpec) -> None:
         if extra_label == "sublabels":
             sublabels = tuple(payload)
     n = len(tree.leaves)
-    order = _leaf_order(tree)
+    order = (leaf_members(tree, n + len(tree.merges) - 1) if tree.merges
+             else list(range(n)))
     position = {leaf: rank for rank, leaf in enumerate(order)}
     max_height = max((h for _, _, h in tree.merges), default=1.0) or 1.0
     ys = _Scale(0.0, max_height, MARGIN_T + PLOT_H, MARGIN_T)

@@ -36,6 +36,7 @@ __all__ = [
     "build_profiles",
     "clustering_quality",
     "cosine_distance_matrix",
+    "leaf_members",
     "majority_part",
     "ngram_counts",
     "normalize_text",
@@ -106,17 +107,19 @@ def majority_part(sample: SampleWindow) -> str:
     return best[0]
 
 
+# tabs need no entry: split() below already treats them as whitespace
+_TO_SPACE = str.maketrans(dict.fromkeys(PUNCTUATION_GLYPHS, " "))
+
+
 def normalize_text(text: str) -> str:
-    lowered = text.lower()
-    cleaned = "".join(
-        " " if ch in PUNCTUATION_GLYPHS or ch == "\t" else ch
-        for ch in lowered)
-    return " ".join(cleaned.split())
+    return " ".join(text.lower().translate(_TO_SPACE).split())
 
 
 def _stream_counts(normalized: str, n: int) -> Counter[str]:
     stream = f" {normalized} "
-    return Counter(stream[i:i + n] for i in range(len(stream) - n + 1))
+    starts = range(len(stream) - n + 1)
+    return Counter(map(stream.__getitem__,
+                       map(slice, starts, range(n, len(stream) + 1))))
 
 
 def ngram_counts(text: str, n: int) -> Counter[str]:
@@ -218,7 +221,8 @@ def agglomerative_complete(dist: DistanceMatrix) -> Dendrogram:
     return Dendrogram(merges=tuple(merges), leaves=dist.labels)
 
 
-def _leaf_members(dendrogram: Dendrogram, node: int) -> list[int]:
+def leaf_members(dendrogram: Dendrogram, node: int) -> list[int]:
+    """Leaves under ``node``, left to right (node_a's subtree first)."""
     n = len(dendrogram.leaves)
     children = {n + i: (a, b) for i, (a, b, _) in enumerate(dendrogram.merges)}
     stack, members = [node], []
@@ -227,7 +231,8 @@ def _leaf_members(dendrogram: Dendrogram, node: int) -> list[int]:
         if cur < n:
             members.append(cur)
         else:
-            stack.extend(children[cur])
+            a, b = children[cur]
+            stack += (b, a)
     return members
 
 
@@ -236,8 +241,8 @@ def top_two_assignment(dendrogram: Dendrogram) -> dict[str, int]:
     if len(dendrogram.leaves) < 2:
         raise AnalysisError("need at least two leaves")
     last_a, last_b, _ = dendrogram.merges[-1]
-    side_a = [dendrogram.leaves[i] for i in _leaf_members(dendrogram, last_a)]
-    side_b = [dendrogram.leaves[i] for i in _leaf_members(dendrogram, last_b)]
+    side_a = [dendrogram.leaves[i] for i in leaf_members(dendrogram, last_a)]
+    side_b = [dendrogram.leaves[i] for i in leaf_members(dendrogram, last_b)]
     if min(side_a) <= min(side_b):
         zero, one = side_a, side_b
     else:
@@ -335,14 +340,26 @@ def robustness_sweep(
     ids = tuple(window_id(w) for w in windows)
     cells = []
     canonical_splits: list[tuple[int, ...] | None] = []
+    k_max = max(k_values, default=0)
     for n in n_values:
+        # the ranking breaks ties lexicographically and values divide by each
+        # window's full n-gram total, so every top-k profile is a prefix of
+        # the top-k_max one
+        try:
+            full = build_profiles(corpus, windows, n, k_max)
+        except AnalysisError:
+            full = None
         for k in k_values:
-            try:
-                profiles = build_profiles(corpus, windows, n, k)
-                dendrogram = agglomerative_complete(
-                    cosine_distance_matrix(profiles))
-                assignment = top_two_assignment(dendrogram)
-            except AnalysisError:
+            assignment = None
+            if full is not None and k >= 1:
+                profiles = [NgramProfile(p.sample, p.features[:k], p.values[:k])
+                            for p in full]
+                try:
+                    assignment = top_two_assignment(agglomerative_complete(
+                        cosine_distance_matrix(profiles)))
+                except AnalysisError:
+                    pass
+            if assignment is None:
                 cells.append(SweepCell(n=n, k=k, assignment=None))
                 canonical_splits.append(None)
                 continue

@@ -1,12 +1,25 @@
 """Builders for synthetic poems and on-disk corpora used across test modules."""
 
 import json
+from collections import Counter
 
 import numpy as np
 
-from versemetry.corpus import Corpus, PartRange, Poem, VerseLine
+from versemetry.corpus import Corpus, PartRange, Poem, VerseLine, rolling_windows
+from versemetry.errors import AnalysisError
 from versemetry.metre import HALF_LABELS
-from versemetry.ngramcluster import Dendrogram, DistanceMatrix
+from versemetry.ngramcluster import (
+    Dendrogram,
+    DistanceMatrix,
+    SweepCell,
+    SweepResult,
+    agglomerative_complete,
+    build_profiles,
+    cosine_distance_matrix,
+    top_two_assignment,
+    window_id,
+)
+from versemetry.sensepause import PUNCTUATION_GLYPHS
 from versemetry.stats import RngStream, student_t_p
 
 
@@ -196,6 +209,81 @@ def brute_force_complete(dist):
         merges.append((a, b, float(d)))
         next_id += 1
     return Dendrogram(merges=tuple(merges), leaves=dist.labels)
+
+
+def recursive_leaf_order(tree):
+    """Left-to-right leaf order of a dendrogram by direct recursion: node_a's
+    subtree, then node_b's."""
+    n = len(tree.leaves)
+    children = {n + i: (a, b) for i, (a, b, _) in enumerate(tree.merges)}
+
+    def walk(node):
+        if node < n:
+            return [node]
+        a, b = children[node]
+        return walk(a) + walk(b)
+
+    return walk(n + len(tree.merges) - 1) if tree.merges else list(range(n))
+
+
+def random_dendrogram(n, seed):
+    """Merge list joining ``n`` leaves in a seeded random order, with
+    nondecreasing heights and node_a < node_b in every merge."""
+    gen = RngStream(seed, 11).generator()
+    active = list(range(n))
+    merges = []
+    for i in range(n - 1):
+        picks = sorted(int(j) for j in gen.choice(len(active), 2, replace=False))
+        a, b = sorted((active[picks[0]], active[picks[1]]))
+        del active[picks[1]], active[picks[0]]
+        active.append(n + i)
+        merges.append((a, b, float(i + 1)))
+    return Dendrogram(merges=tuple(merges),
+                      leaves=tuple(f"s{i:04d}" for i in range(n)))
+
+
+def per_char_normalize_text(text):
+    """Reference normalizer: one membership test per character."""
+    lowered = text.lower()
+    cleaned = "".join(
+        " " if ch in PUNCTUATION_GLYPHS or ch == "\t" else ch
+        for ch in lowered)
+    return " ".join(cleaned.split())
+
+
+def per_cell_sweep(corpus, poem_id, n_values, k_values, width=300, step=100):
+    """Reference robustness sweep: fresh profiles for every (n, k) cell."""
+    windows = rolling_windows(corpus.poem(poem_id), width, step)
+    ids = tuple(window_id(w) for w in windows)
+    cells = []
+    canonical_splits = []
+    for n in n_values:
+        for k in k_values:
+            try:
+                profiles = build_profiles(corpus, windows, n, k)
+                assignment = top_two_assignment(agglomerative_complete(
+                    cosine_distance_matrix(profiles)))
+            except AnalysisError:
+                cells.append(SweepCell(n=n, k=k, assignment=None))
+                canonical_splits.append(None)
+                continue
+            cells.append(SweepCell(
+                n=n, k=k,
+                assignment=tuple((wid, assignment[wid]) for wid in ids)))
+            flat = tuple(assignment[wid] for wid in ids)
+            if flat and flat[0] == 1:
+                flat = tuple(1 - v for v in flat)
+            canonical_splits.append(flat)
+    populated = [s for s in canonical_splits if s is not None]
+    if populated:
+        tally = Counter(populated)
+        top_count = max(tally.values())
+        majority = min(s for s, c in tally.items() if c == top_count)
+        stability = tally[majority] / len(populated)
+    else:
+        stability = 0.0
+    return SweepResult(poem=poem_id, window_ids=ids, cells=tuple(cells),
+                       stability=stability)
 
 
 def random_distance_matrix(n, seed):

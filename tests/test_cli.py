@@ -2,13 +2,16 @@
 
 import csv
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import build_corpus, iid_scansion_poem, pool_text_poem
-from versemetry.cli import dispatch
+from versemetry.cli import build_parser, dispatch
 from versemetry.corpus import PartRange, Poem, VerseLine, parse_corpus, write_corpus
 from versemetry.stats import RngStream
 
@@ -324,6 +327,20 @@ def test_hapax_segments_outputs(corpus_dir, tmp_path):
     assert int(combined["n_hapax"]) == sum(int(r["n_hapax"]) for r in rows[:2])
 
 
+@pytest.mark.parametrize("argv", [
+    ["hapax", "fit", "--poem", "alpha", "--first", "0"],
+    ["hapax", "segments", "--mode", "partition",
+     "--unit", "alpha:0-10", "--unit", "alpha:11-20"],
+], ids=["fit-first-0", "segments-unit-0"])
+def test_hapax_line_zero_rejected(corpus_dir, tmp_path, capsys, argv):
+    code = dispatch(argv + ["--corpus", str(corpus_dir),
+                            "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "bad line range" in err[0]
+
+
 def test_bad_unit_spec(corpus_dir, tmp_path, capsys):
     code = dispatch(["hapax", "segments", "--corpus", str(corpus_dir),
                      "--mode", "merge", "--unit", "alpha:x-y",
@@ -406,6 +423,29 @@ def test_report_skips_unsplittable_poems(corpus_dir, tmp_path):
                      "--split-line", "5000", "--out", str(out)]) == 0
     skipped = read_csv(out / "report" / "skipped.csv")
     assert any(row["analysis"] == "metre split-tests" for row in skipped)
+
+
+# documentation --------------------------------------------------------------
+
+def readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return [line.strip()
+            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for line in block.splitlines()
+            if line.strip().startswith("versemetry ")]
+
+
+def test_readme_examples_parse():
+    commands = readme_commands()
+    assert len(commands) >= 10
+    rejected = []
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            rejected.append(command)
+    assert rejected == []
 
 
 # console entry point --------------------------------------------------------

@@ -9,6 +9,8 @@ from versemetry.errors import AnalysisError
 from versemetry.figures import FigureKind, FigureSpec, render_figure
 from versemetry.ngramcluster import Dendrogram
 
+from helpers import random_dendrogram, recursive_leaf_order
+
 
 def scatter_spec():
     points = tuple((float(x), float(2 * x + 1)) for x in range(10))
@@ -105,6 +107,28 @@ def test_dendrogram_sublabels_rendered():
     doc = render_figure(spec)
     assert "s0 [A:10]" in doc
     assert "s1 [B:20]" in doc
+
+
+def _leaf_labels(doc):
+    return re.findall(r'rotate\(-60[^>]*>([^<]+)</text>', doc)
+
+
+def test_deep_chained_dendrogram_renders():
+    # each merge joins the next leaf onto the running cluster, so the tree
+    # is as deep as it has leaves
+    n = 3000
+    merges = [(0, 1, 0.0)] + [(i, n + i - 2, i / n) for i in range(2, n)]
+    tree = Dendrogram(merges=tuple(merges),
+                      leaves=tuple(f"s{i:04d}" for i in range(n)))
+    labels = _leaf_labels(render_figure(dendrogram_spec(tree)))
+    assert labels == [f"s{i:04d}" for i in [*range(n - 1, 1, -1), 0, 1]]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dendrogram_leaf_order_matches_recursive_walk(seed):
+    tree = random_dendrogram(2 + 13 * seed, seed)
+    labels = _leaf_labels(render_figure(dendrogram_spec(tree)))
+    assert labels == [tree.leaves[i] for i in recursive_leaf_order(tree)]
 
 
 def test_sweep_strip_grid_and_absent_cells():

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from versemetry.corpus import SampleWindow, rolling_windows
 from versemetry.errors import AnalysisError
 from versemetry.ngramcluster import (
+    DEFAULT_K_VALUES,
+    DEFAULT_N_VALUES,
     Dendrogram,
+    NgramProfile,
     agglomerative_complete,
     build_profiles,
     clustering_quality,
@@ -20,11 +23,12 @@ from versemetry.ngramcluster import (
     top_two_assignment,
     window_id,
 )
+from versemetry.sensepause import PUNCTUATION_GLYPHS
 from versemetry.stats import RngStream
 
 from helpers import (brute_force_complete, build_corpus, build_poem,
-                     pool_text_poem, random_distance_matrix,
-                     two_style_corpus)
+                     per_cell_sweep, per_char_normalize_text, pool_text_poem,
+                     random_distance_matrix, two_style_corpus)
 
 
 def text_corpus(*texts):
@@ -46,8 +50,6 @@ def one_line_windows(corpus):
 
 def profile_fixture(values_by_label):
     """Hand-built profiles for distance tests, bypassing text counting."""
-    from versemetry.ngramcluster import NgramProfile
-
     profiles = []
     for label, values in values_by_label.items():
         window = SampleWindow(source=label, first_line=1, last_line=1,
@@ -71,6 +73,13 @@ class TestNormalization:
         counts = ngram_counts("aaa", 2)
         assert counts == {" a": 1, "aa": 2, "a ": 1}
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(
+        sorted(PUNCTUATION_GLYPHS) + list("\t \nAbZyÆæÞþÐðǷƿĀāİßΣς–—…"))
+        | st.characters(exclude_categories=("Cs",))))
+    def test_matches_per_character_reference(self, text):
+        assert normalize_text(text) == per_char_normalize_text(text)
+
 
 class TestBuildProfiles:
     def test_relative_frequencies_are_scale_invariant(self):
@@ -90,6 +99,16 @@ class TestBuildProfiles:
         corpus = text_corpus("abab")
         (profile,) = build_profiles(corpus, one_line_windows(corpus), 2, 10 ** 6)
         assert set(profile.features) == {" a", "ab", "ba", "b "}
+
+    def test_top_k_is_prefix_of_larger_k(self):
+        # robustness_sweep slices one top-k_max ranking for every k
+        corpus = text_corpus("seft ond swegl", "wudu ond wæter", "abab baba")
+        windows = one_line_windows(corpus)
+        full = build_profiles(corpus, windows, 2, 10 ** 6)
+        for k in range(1, len(full[0].features) + 2):
+            assert build_profiles(corpus, windows, 2, k) == [
+                NgramProfile(p.sample, p.features[:k], p.values[:k])
+                for p in full]
 
     def test_values_sum_at_most_one(self):
         corpus = text_corpus("seft ond swegl", "wudu ond wæter")
@@ -298,6 +317,30 @@ class TestRobustnessSweep:
             build_corpus(poem), "mono",
             n_values=[2, 3], k_values=[40, 80, 120, 160])
         assert result.stability < 1.0
+
+    @pytest.mark.parametrize("corpus,poem_id,step", [
+        (two_style_corpus(n=900, switch=300), "twins", 100),
+        (build_corpus(pool_text_poem("mono", 500, pool_fn=lambda i: "aebimorstun",
+                                     seed=11)), "mono", 50),
+    ], ids=["two-style", "single-style"])
+    def test_default_grid_matches_per_cell_reference(self, corpus, poem_id,
+                                                     step):
+        # the two-style poem has cells that drop out on zero vectors; the
+        # single-style one changes its split with k
+        result = robustness_sweep(corpus, poem_id, width=100, step=step)
+        assert len(result.cells) == len(DEFAULT_N_VALUES) * len(DEFAULT_K_VALUES)
+        assert result == per_cell_sweep(corpus, poem_id, DEFAULT_N_VALUES,
+                                         DEFAULT_K_VALUES, 100, step)
+
+    @pytest.mark.parametrize("k_values", [[-3, 0, 5, 10 ** 5], []])
+    def test_edge_grid_matches_per_cell_reference(self, k_values):
+        corpus = two_style_corpus(n=600, switch=300)
+        n_values = [1, 2, 6]
+        result = robustness_sweep(corpus, "twins", n_values, k_values,
+                                  width=100, step=100)
+        assert len(result.cells) == len(n_values) * len(k_values)
+        assert result == per_cell_sweep(corpus, "twins", n_values, k_values,
+                                        100, 100)
 
     def test_failing_cells_recorded_absent(self):
         poem = pool_text_poem("tiny", 50, pool_fn=lambda i: "aebimor", seed=2)
