@@ -1,11 +1,14 @@
 """Command-line surface: conversion, analyses, figures, reproducible runs.
 
-Every subcommand writes its outputs under ``--out`` (default ``out/``) in a
-``<subcommand>/`` directory together with a ``run.json`` manifest recording
-the resolved parameters, the seed, and SHA-256 hashes of every corpus input
-file, so a run can be reproduced exactly.  The output directory itself is not
-part of the manifest: trees produced by identical runs into different
-directories are byte-identical.
+Every analysis command writes its outputs under ``--out`` (default ``out/``)
+in a ``<command>/`` directory (``out/metre/`` for every ``metre``
+subcommand; ``report`` writes to ``--out`` itself) together with a
+``run.json`` manifest.  The manifest records exactly the parsed options of
+the command, apart from ``--corpus``, ``--out`` and ``--seed``; the seed
+separately; and SHA-256 hashes of every corpus input file, so a run can be
+reproduced exactly.  The output directory itself is not part of the
+manifest: trees produced by identical runs into different directories are
+byte-identical.
 
 Exit codes: 0 success, 1 analysis/corpus error (message on stderr), 2 usage.
 """
@@ -60,7 +63,11 @@ from .ngramcluster import (
     top_two_assignment,
     window_id,
 )
-from .sensepause import mean_syllables_per_line, sample_ratio_comparison
+from .sensepause import (
+    mean_syllables_per_line,
+    sample_ratio_comparison,
+    window_ratio_reports,
+)
 from .stats import RngStream, TestResult
 
 __all__ = ["dispatch", "main"]
@@ -71,6 +78,18 @@ FIT_COLUMNS = ("unit", "first_line", "last_line", "slope_per100", "intercept",
                "r", "n_hapax")
 PAIR_COLUMNS = ("poem_a", "poem_b", "observed", "null_mean", "null_sd", "z",
                 "tail")
+RATIO_COLUMNS = ("unit", "intraline", "final", "ratio")
+SYLLABLE_COLUMNS = ("poem", "part", "mean_syllables")
+SPLIT_COLUMNS = ("poem", "split_line") + TEST_COLUMNS
+PAIRING_COLUMNS = ("poem", "section", "paired", "skipped_missing_a",
+                   "skipped_missing_b", "misalignment_warnings")
+INDEPENDENCE_COLUMNS = ("poem",) + TEST_COLUMNS
+INCIDENCE_FIT_COLUMNS = ("poem", "pattern", "granularity", "slope",
+                         "intercept", "r", "n")
+# parsed options that are not run parameters: dispatch keys, locations (the
+# corpus is recorded by the hashes of its files) and the seed
+NOT_PARAMETERS = frozenset(
+    {"func", "command", "subcommand", "out", "corpus", "seed"})
 
 
 # ---------------------------------------------------------------- output ----
@@ -86,6 +105,11 @@ def _cell(value):
 def _write_text(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content, encoding="utf-8")
+
+
+def _write_json(path: Path, payload, sort_keys: bool = True) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=sort_keys,
+                                 ensure_ascii=False) + "\n")
 
 
 def write_table(directory: Path, name: str, columns: Sequence[str],
@@ -105,7 +129,8 @@ def write_table(directory: Path, name: str, columns: Sequence[str],
             writer.writerow([_cell(row.get(c)) for c in columns])
 
 
-def test_result_row(label: str, result: TestResult) -> dict:
+def test_result_row(label: str, result: TestResult, **keys) -> dict:
+    """One TEST_COLUMNS row, plus ``keys`` naming what was tested."""
     return {
         "test": label,
         "method": result.method.value,
@@ -116,6 +141,7 @@ def test_result_row(label: str, result: TestResult) -> dict:
         "min_expected": result.min_expected,
         "dropped_categories": result.dropped_categories,
         "merged_categories": result.merged_categories,
+        **keys,
     }
 
 
@@ -123,27 +149,22 @@ def _hash_file(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_run_manifest(directory: Path, command: str, corpus_root: Path | None,
+def write_run_manifest(directory: Path, command: str, corpus_root: Path,
                        parameters: Mapping[str, object], seed: int) -> None:
-    inputs: dict[str, str] = {}
-    if corpus_root is not None:
-        manifest_path = corpus_root / "corpus.json"
-        inputs["corpus.json"] = _hash_file(manifest_path)
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        for entry in manifest.get("poems", []):
-            for key in ("text", "scansion", "compounds"):
-                name = entry.get(key)
-                if name:
-                    inputs[name] = _hash_file(corpus_root / name)
-    payload = {
+    manifest_path = corpus_root / "corpus.json"
+    inputs = {"corpus.json": _hash_file(manifest_path)}
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for entry in manifest.get("poems", []):
+        for key in ("text", "scansion", "compounds"):
+            name = entry.get(key)
+            if name:
+                inputs[name] = _hash_file(corpus_root / name)
+    _write_json(directory / "run.json", {
         "command": command,
         "parameters": dict(sorted(parameters.items())),
         "seed": seed,
         "inputs": dict(sorted(inputs.items())),
-    }
-    _write_text(directory / "run.json",
-                json.dumps(payload, indent=2, sort_keys=True,
-                           ensure_ascii=False) + "\n")
+    })
 
 
 def _write_svg(directory: Path, name: str, spec: FigureSpec) -> None:
@@ -240,8 +261,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if poem_id in parts_map:
             entry["parts"] = parts_map[poem_id]
         manifest["poems"].append(entry)
-    _write_text(out / "corpus.json", json.dumps(manifest, indent=2,
-                                                ensure_ascii=False) + "\n")
+    _write_json(out / "corpus.json", manifest, sort_keys=False)
     # validation pass: any structural problem fails the conversion
     parse_corpus(out)
     print(f"converted {len(manifest['poems'])} poems into {out}")
@@ -249,10 +269,14 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 # -------------------------------------------------------------- analyses ----
+#
+# Each analysis command runs as ``cmd_*(args, corpus, out)``: ``dispatch`` has
+# already loaded the corpus and chosen ``out``, and writes ``run.json`` once
+# the command returns.  The row builders and writers below serve both the
+# subcommands and ``report``.
 
-def _load_corpus(args: argparse.Namespace) -> tuple[Corpus, Path]:
-    root = Path(args.corpus)
-    return parse_corpus(root), root
+def _poem_ids(text: str | None) -> list[str] | None:
+    return text.split(",") if text else None
 
 
 def _ratio_rows(reports) -> list[dict]:
@@ -263,102 +287,77 @@ def _ratio_rows(reports) -> list[dict]:
     ]
 
 
-def _poem_lines(poem: Poem, part: str | None):
-    if part is None:
-        return list(poem.lines)
-    return [poem.line(i) for i in filtered_line_numbers(poem, part)]
+def _syllable_row(poem: Poem, part: str | None) -> dict:
+    lines = (list(poem.lines) if part is None
+             else [poem.line(i) for i in filtered_line_numbers(poem, part)])
+    return {"poem": poem.id, "part": part or "",
+            "mean_syllables": mean_syllables_per_line(lines)}
 
 
-def cmd_sensepause(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out) / "sensepause"
-    poem_a, poem_b = corpus.poem(args.poem_a), corpus.poem(args.poem_b)
-    toggles = {"strict_compat": args.strict_compat,
-               "ascii_quotes": args.ascii_quotes,
-               "count_hyphen": not args.no_count_hyphen}
-    reports_a, reports_b, result = sample_ratio_comparison(
-        poem_a, poem_b, args.sample_len,
-        part_a=args.part_a, part_b=args.part_b, **toggles)
-    write_table(out, "ratios", ("unit", "intraline", "final", "ratio"),
+def cmd_sensepause(args: argparse.Namespace, corpus: Corpus,
+                   out: Path) -> None:
+    sides = ((corpus.poem(args.poem_a), args.part_a),
+             (corpus.poem(args.poem_b), args.part_b))
+    reports_a, reports_b = (
+        window_ratio_reports(poem, args.sample_len, part=part,
+                             strict_compat=args.strict_compat,
+                             ascii_quotes=args.ascii_quotes,
+                             count_hyphen=args.count_hyphen)
+        for poem, part in sides)
+    result = sample_ratio_comparison(reports_a, reports_b)
+    write_table(out, "ratios", RATIO_COLUMNS,
                 _ratio_rows(reports_a) + _ratio_rows(reports_b), args.format)
     write_table(out, "ttest", TEST_COLUMNS,
                 [test_result_row("intraline_ratio_t", result)], args.format)
-    syllable_rows = [
-        {"poem": poem.id, "part": part or "",
-         "mean_syllables": mean_syllables_per_line(_poem_lines(poem, part))}
-        for poem, part in ((poem_a, args.part_a), (poem_b, args.part_b))
-    ]
-    write_table(out, "syllables", ("poem", "part", "mean_syllables"),
-                syllable_rows, args.format)
-    write_run_manifest(out, "sensepause", root, {
-        "poem_a": args.poem_a, "poem_b": args.poem_b,
-        "part_a": args.part_a, "part_b": args.part_b,
-        "sample_len": args.sample_len, "format": args.format, **toggles,
-    }, args.seed)
-    return 0
+    write_table(out, "syllables", SYLLABLE_COLUMNS,
+                [_syllable_row(poem, part) for poem, part in sides],
+                args.format)
 
 
 def _granularity(name: str) -> Granularity:
     return Granularity.HALF_LINE if name == "half" else Granularity.FULL_LINE
 
 
-def _proportions_rows(rolling) -> tuple[tuple[str, ...], list[dict]]:
-    labels = tuple(rolling.series)
-    rows = []
-    for i, start in enumerate(rolling.starts):
-        row: dict[str, object] = {"start": start}
-        for label in labels:
-            row[label] = rolling.series[label][i]
-        rows.append(row)
-    return ("start",) + labels, rows
-
-
-def _stacked_spec(rolling, title: str, split_line: int | None) -> FigureSpec:
-    series = tuple(
-        (label, tuple(zip(rolling.starts, values)))
-        for label, values in rolling.series.items()
-    )
+def _write_rolling(out: Path, poem_id: str, rolling, granularity: str,
+                   split_line: int | None, fmt: str) -> None:
+    """Rolling pattern proportions as a table and a stacked-area figure."""
+    columns = ("start",) + tuple(rolling.series)
+    rows = [dict(zip(columns, values))
+            for values in zip(rolling.starts, *rolling.series.values())]
+    write_table(out, f"proportions-{poem_id}", columns, rows, fmt)
     annotations = ()
     if split_line is not None:
         annotations = ((float(split_line), f"line {split_line}"),)
-    return FigureSpec(kind=FigureKind.STACKED_AREA, series=series, title=title,
-                      x_label="window start line", y_label="proportion",
-                      annotations=annotations)
+    _write_svg(out, f"rolling-{poem_id}", FigureSpec(
+        kind=FigureKind.STACKED_AREA,
+        series=tuple((label, tuple(zip(rolling.starts, values)))
+                     for label, values in rolling.series.items()),
+        title=f"{poem_id}: rolling {granularity}-line proportions",
+        x_label="window start line", y_label="proportion",
+        annotations=annotations))
 
 
-def cmd_metre_rolling(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out) / "metre"
+def cmd_metre_rolling(args: argparse.Namespace, corpus: Corpus,
+                      out: Path) -> None:
     poem = corpus.poem(args.poem)
     rolling = rolling_pattern_proportions(
         poem, _granularity(args.granularity), args.width, args.step)
-    columns, rows = _proportions_rows(rolling)
-    write_table(out, f"proportions-{poem.id}", columns, rows, args.format)
-    _write_svg(out, f"rolling-{poem.id}", _stacked_spec(
-        rolling, f"{poem.id}: rolling {args.granularity}-line proportions",
-        args.split_line))
-    write_run_manifest(out, "metre rolling", root, {
-        "poem": args.poem, "granularity": args.granularity,
-        "width": args.width, "step": args.step,
-        "split_line": args.split_line, "format": args.format,
-    }, args.seed)
-    return 0
+    _write_rolling(out, poem.id, rolling, args.granularity, args.split_line,
+                   args.format)
 
 
 def _split_rows(table, poem_id: str) -> list[dict]:
-    rows = []
-    for label, result in (
+    return [
+        test_result_row(label, result, poem=poem_id,
+                        split_line=table.split_line)
+        for label, result in (
             ("half_homogeneity", table.half_homogeneity),
             ("half_gof", table.half_gof),
             ("full_homogeneity", table.full_homogeneity),
             ("full_gof", table.full_gof),
             ("full_homogeneity_bootstrap", table.full_homogeneity_boot),
-            ("full_gof_bootstrap", table.full_gof_boot)):
-        row = test_result_row(label, result)
-        row["poem"] = poem_id
-        row["split_line"] = table.split_line
-        rows.append(row)
-    return rows
+            ("full_gof_bootstrap", table.full_gof_boot))
+    ]
 
 
 def _pairing_rows(table, poem_id: str) -> list[dict]:
@@ -372,45 +371,35 @@ def _pairing_rows(table, poem_id: str) -> list[dict]:
     ]
 
 
-def cmd_metre_split_tests(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out) / "metre"
+def cmd_metre_split_tests(args: argparse.Namespace, corpus: Corpus,
+                          out: Path) -> None:
     poem = corpus.poem(args.poem)
     table = split_distribution_tests(
         poem, args.split_line, B=args.bootstrap, rng=RngStream(args.seed))
-    write_table(out, f"split-tests-{poem.id}",
-                ("poem", "split_line") + TEST_COLUMNS,
+    write_table(out, f"split-tests-{poem.id}", SPLIT_COLUMNS,
                 _split_rows(table, poem.id), args.format)
-    write_table(out, f"pairing-{poem.id}",
-                ("poem", "section", "paired", "skipped_missing_a",
-                 "skipped_missing_b", "misalignment_warnings"),
+    write_table(out, f"pairing-{poem.id}", PAIRING_COLUMNS,
                 _pairing_rows(table, poem.id), args.format)
-    write_run_manifest(out, "metre split-tests", root, {
-        "poem": args.poem, "split_line": args.split_line,
-        "bootstrap": args.bootstrap, "format": args.format,
-    }, args.seed)
-    return 0
 
 
-def cmd_metre_independence(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out) / "metre"
+def cmd_metre_independence(args: argparse.Namespace, corpus: Corpus,
+                           out: Path) -> None:
     poem = corpus.poem(args.poem)
     result = halves_independence_test(poem, args.first, args.last)
-    row = test_result_row("halves_independence", result)
-    row["poem"] = poem.id
-    write_table(out, f"independence-{poem.id}", ("poem",) + TEST_COLUMNS,
-                [row], args.format)
-    write_run_manifest(out, "metre independence", root, {
-        "poem": args.poem, "first": args.first, "last": args.last,
-        "format": args.format,
-    }, args.seed)
-    return 0
+    write_table(out, f"independence-{poem.id}", INDEPENDENCE_COLUMNS,
+                [test_result_row("halves_independence", result,
+                                 poem=poem.id)], args.format)
 
 
-def cmd_metre_incidence(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out) / "metre"
+def _incidence_fit_row(poem_id: str, pattern: str, granularity: str,
+                       fit) -> dict:
+    return {"poem": poem_id, "pattern": pattern, "granularity": granularity,
+            "slope": fit.slope, "intercept": fit.intercept, "r": fit.r,
+            "n": fit.n}
+
+
+def cmd_metre_incidence(args: argparse.Namespace, corpus: Corpus,
+                        out: Path) -> None:
     poem = corpus.poem(args.poem)
     granularity = _granularity(args.granularity)
     points = incidence_points(poem, args.pattern, granularity)
@@ -419,22 +408,14 @@ def cmd_metre_incidence(args: argparse.Namespace) -> int:
                 ("unit", "occurrence"),
                 [{"unit": x, "occurrence": y} for x, y in points], args.format)
     write_table(out, f"incidence-fit-{poem.id}-{args.pattern}",
-                ("poem", "pattern", "granularity", "slope", "intercept", "r",
-                 "n"),
-                [{"poem": poem.id, "pattern": args.pattern,
-                  "granularity": args.granularity, "slope": fit.slope,
-                  "intercept": fit.intercept, "r": fit.r, "n": fit.n}],
-                args.format)
+                INCIDENCE_FIT_COLUMNS,
+                [_incidence_fit_row(poem.id, args.pattern, args.granularity,
+                                    fit)], args.format)
     _write_svg(out, f"incidence-{poem.id}-{args.pattern}", FigureSpec(
         kind=FigureKind.SCATTER_FIT,
         series=((args.pattern, tuple((float(x), float(y)) for x, y in points)),),
         title=f"{poem.id}: cumulative incidence of {args.pattern}",
         x_label="unit index", y_label="occurrence number"))
-    write_run_manifest(out, "metre incidence-r", root, {
-        "poem": args.poem, "pattern": args.pattern,
-        "granularity": args.granularity, "format": args.format,
-    }, args.seed)
-    return 0
 
 
 def _fit_row(unit: str, first: int, last: int, series, fit) -> dict:
@@ -443,28 +424,26 @@ def _fit_row(unit: str, first: int, last: int, series, fit) -> dict:
             "r": fit.r, "n_hapax": series[-1][1]}
 
 
-def cmd_hapax_fit(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out) / "hapax"
+def _write_hapax_series(out: Path, poem_id: str, series, fmt: str) -> None:
+    """Cumulative hapax counts as a table and a scatter figure."""
+    write_table(out, f"series-{poem_id}", ("line", "cumulative"),
+                [{"line": x, "cumulative": y} for x, y in series], fmt)
+    _write_svg(out, f"hapax-{poem_id}", FigureSpec(
+        kind=FigureKind.SCATTER_FIT,
+        series=((poem_id, tuple((float(x), float(y)) for x, y in series)),),
+        title=f"{poem_id}: cumulative hapax compounds",
+        x_label="line", y_label="cumulative hapax count"))
+
+
+def cmd_hapax_fit(args: argparse.Namespace, corpus: Corpus, out: Path) -> None:
     poem = corpus.poem(args.poem)
     index = build_compound_index(corpus)
     first = 1 if args.first is None else args.first
     last = poem.line_count if args.last is None else args.last
     series, fit = hapax_cumulative_fit(poem, index.hapax_set, first, last)
-    write_table(out, f"series-{poem.id}", ("line", "cumulative"),
-                [{"line": x, "cumulative": y} for x, y in series], args.format)
+    _write_hapax_series(out, poem.id, series, args.format)
     write_table(out, f"fit-{poem.id}", FIT_COLUMNS,
                 [_fit_row(poem.id, first, last, series, fit)], args.format)
-    _write_svg(out, f"hapax-{poem.id}", FigureSpec(
-        kind=FigureKind.SCATTER_FIT,
-        series=((poem.id, tuple((float(x), float(y)) for x, y in series)),),
-        title=f"{poem.id}: cumulative hapax compounds",
-        x_label="line", y_label="cumulative hapax count"))
-    write_run_manifest(out, "hapax fit", root, {
-        "poem": args.poem, "first": args.first, "last": args.last,
-        "format": args.format,
-    }, args.seed)
-    return 0
 
 
 def _parse_unit(corpus: Corpus, spec: str) -> tuple[Poem, int | None, int | None]:
@@ -481,11 +460,10 @@ def _parse_unit(corpus: Corpus, spec: str) -> tuple[Poem, int | None, int | None
         raise AnalysisError(f"bad unit spec {spec!r}: expected POEM[:FIRST-LAST]")
 
 
-def cmd_hapax_segments(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out) / "hapax"
+def cmd_hapax_segments(args: argparse.Namespace, corpus: Corpus,
+                       out: Path) -> None:
     index = build_compound_index(corpus)
-    units = [_parse_unit(corpus, spec) for spec in args.unit]
+    units = [_parse_unit(corpus, spec) for spec in args.units]
     mode = SegmentMode(args.mode)
     fits, combined = segment_fits(units, mode, index.hapax_set)
     rows = []
@@ -504,10 +482,6 @@ def cmd_hapax_segments(args: argparse.Namespace) -> int:
                  "intercept": combined.intercept, "r": combined.r,
                  "n_hapax": total_hapax})
     write_table(out, f"segments-{args.mode}", FIT_COLUMNS, rows, args.format)
-    write_run_manifest(out, "hapax segments", root, {
-        "mode": args.mode, "units": list(args.unit), "format": args.format,
-    }, args.seed)
-    return 0
 
 
 def _pair_rows(scores) -> list[dict]:
@@ -519,17 +493,11 @@ def _pair_rows(scores) -> list[dict]:
     ]
 
 
-def cmd_shared(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out) / "shared"
-    poems = args.poems.split(",") if args.poems else None
+def cmd_shared(args: argparse.Namespace, corpus: Corpus, out: Path) -> None:
     scores = shared_compound_scores(
-        corpus, poems=poems, N=args.trials, rng=RngStream(args.seed))
+        corpus, poems=_poem_ids(args.poems), N=args.trials,
+        rng=RngStream(args.seed))
     write_table(out, "pairs", PAIR_COLUMNS, _pair_rows(scores), args.format)
-    write_run_manifest(out, "shared", root, {
-        "poems": args.poems, "trials": args.trials, "format": args.format,
-    }, args.seed)
-    return 0
 
 
 def _cluster_windows(corpus: Corpus, poems: Sequence[str] | None,
@@ -544,60 +512,49 @@ def _cluster_windows(corpus: Corpus, poems: Sequence[str] | None,
     return windows
 
 
-def _composition_text(window) -> str:
-    return "+".join(f"{name}:{count}"
-                    for name, count in window.composition.items())
+def _dendrogram(corpus: Corpus, poems: Sequence[str] | None, width: int,
+                step: int, n: int, k: int):
+    """Windows, their cosine distances and the complete-linkage tree."""
+    windows = _cluster_windows(corpus, poems, width, step)
+    dist = cosine_distance_matrix(build_profiles(corpus, windows, n, k))
+    return windows, dist, agglomerative_complete(dist)
 
 
-def cmd_cluster_profiles(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out) / "cluster"
-    poems = args.poems.split(",") if args.poems else None
-    windows = _cluster_windows(corpus, poems, args.width, args.step)
-    profiles = build_profiles(corpus, windows, args.n, args.k)
-    columns = ("sample",) + profiles[0].features
-    rows = []
-    for profile in profiles:
-        row: dict[str, object] = {"sample": window_id(profile.sample)}
-        row.update(zip(profile.features, profile.values))
-        rows.append(row)
-    write_table(out, "features", columns, rows, args.format)
-    write_run_manifest(out, "cluster profiles", root, {
-        "poems": args.poems, "width": args.width, "step": args.step,
-        "n": args.n, "k": args.k, "format": args.format,
-    }, args.seed)
-    return 0
-
-
-def cmd_cluster_dendrogram(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out) / "cluster"
-    poems = args.poems.split(",") if args.poems else None
-    windows = _cluster_windows(corpus, poems, args.width, args.step)
-    profiles = build_profiles(corpus, windows, args.n, args.k)
-    dist = cosine_distance_matrix(profiles)
-    tree = agglomerative_complete(dist)
-    rows = []
-    for i, label in enumerate(dist.labels):
-        row: dict[str, object] = {"sample": label}
-        row.update(zip(dist.labels, (float(v) for v in dist.values[i])))
-        rows.append(row)
-    write_table(out, "distances", ("sample",) + dist.labels, rows, args.format)
-    _write_text(out / "dendrogram.json", json.dumps({
+def _write_dendrogram(out: Path, windows, tree) -> None:
+    """The linkage tree as JSON and as a figure labelled by composition."""
+    _write_json(out / "dendrogram.json", {
         "leaves": list(tree.leaves),
-        "merges": [[a, b, h] for a, b, h in tree.merges],
-    }, indent=2, ensure_ascii=False) + "\n")
-    sublabels = tuple(_composition_text(w) for w in windows)
+        "merges": [[a, b, h] for a, b, h in tree.merges]})
+    sublabels = tuple(
+        "+".join(f"{name}:{count}" for name, count in w.composition.items())
+        for w in windows)
     _write_svg(out, "dendrogram", FigureSpec(
         kind=FigureKind.DENDROGRAM,
         series=(("tree", tree), ("sublabels", sublabels)),
         title="complete-linkage dendrogram (cosine distance)",
         y_label="cosine distance"))
-    write_run_manifest(out, "cluster dendrogram", root, {
-        "poems": args.poems, "width": args.width, "step": args.step,
-        "n": args.n, "k": args.k, "format": args.format,
-    }, args.seed)
-    return 0
+
+
+def cmd_cluster_profiles(args: argparse.Namespace, corpus: Corpus,
+                         out: Path) -> None:
+    windows = _cluster_windows(corpus, _poem_ids(args.poems), args.width,
+                               args.step)
+    profiles = build_profiles(corpus, windows, args.n, args.k)
+    rows = [{"sample": window_id(p.sample), **dict(zip(p.features, p.values))}
+            for p in profiles]
+    write_table(out, "features", ("sample",) + profiles[0].features, rows,
+                args.format)
+
+
+def cmd_cluster_dendrogram(args: argparse.Namespace, corpus: Corpus,
+                           out: Path) -> None:
+    windows, dist, tree = _dendrogram(corpus, _poem_ids(args.poems),
+                                      args.width, args.step, args.n, args.k)
+    rows = [{"sample": label,
+             **dict(zip(dist.labels, (float(v) for v in dist.values[i])))}
+            for i, label in enumerate(dist.labels)]
+    write_table(out, "distances", ("sample",) + dist.labels, rows, args.format)
+    _write_dendrogram(out, windows, tree)
 
 
 def _int_list(text: str) -> list[int]:
@@ -607,20 +564,20 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _sweep_outputs(out: Path, result, fmt: str) -> None:
+def _write_sweep(out: Path, result, fmt: str) -> None:
     rows = [
         {"n": cell.n, "k": cell.k, "sample": sample, "cluster": label}
         for cell in result.cells if cell.assignment is not None
         for sample, label in cell.assignment
     ]
     write_table(out, "sweep", ("n", "k", "sample", "cluster"), rows, fmt)
-    _write_text(out / "sweep.json", json.dumps({
+    _write_json(out / "sweep.json", {
         "poem": result.poem,
         "stability": result.stability,
         "window_ids": list(result.window_ids),
         "cells": [{"n": c.n, "k": c.k, "populated": c.assignment is not None}
                   for c in result.cells],
-    }, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    })
     strip_series = []
     for cell in result.cells:
         values = (tuple(label for _, label in cell.assignment)
@@ -633,32 +590,32 @@ def _sweep_outputs(out: Path, result, fmt: str) -> None:
         x_label="window (in line order)"))
 
 
-def cmd_cluster_sweep(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out) / "cluster"
+def cmd_cluster_sweep(args: argparse.Namespace, corpus: Corpus,
+                      out: Path) -> None:
     result = robustness_sweep(
         corpus, args.poem, n_values=_int_list(args.n_values),
         k_values=_int_list(args.k_values), width=args.width, step=args.step)
-    _sweep_outputs(out, result, args.format)
-    write_run_manifest(out, "cluster sweep", root, {
-        "poem": args.poem, "n_values": args.n_values,
-        "k_values": args.k_values, "width": args.width, "step": args.step,
-        "format": args.format,
-    }, args.seed)
-    return 0
+    _write_sweep(out, result, args.format)
 
 
 # ---------------------------------------------------------------- report ----
 
-def cmd_report(args: argparse.Namespace) -> int:
-    corpus, root = _load_corpus(args)
-    out = Path(args.out)
+def cmd_report(args: argparse.Namespace, corpus: Corpus, out: Path) -> None:
+    """Every analysis over the whole corpus into one tree under ``out``.
+
+    An analysis that cannot run on a poem or pair becomes a row of
+    ``report/skipped`` instead of an error.
+    """
     fmt = args.format
     skipped: list[dict] = []
 
-    def skip(analysis: str, unit: str, exc: Exception) -> None:
+    def skip(analysis: str, unit: str, reason) -> None:
         skipped.append({"analysis": analysis, "unit": unit,
-                        "reason": str(exc)})
+                        "reason": str(reason)})
+
+    def table(directory: str, name: str, columns, rows) -> None:
+        if rows:
+            write_table(out / directory, name, columns, rows, fmt)
 
     # corpus summary
     summary_rows = []
@@ -675,34 +632,30 @@ def cmd_report(args: argparse.Namespace) -> int:
                 ("poem", "lines", "parts", "scanned_lines", "compound_tokens"),
                 summary_rows, fmt)
 
-    # sense pauses: every poem pair, 100-line samples
-    ratio_rows, ttest_rows, syllable_rows = [], [], []
-    for poem in corpus.poems:
-        syllable_rows.append({
-            "poem": poem.id, "part": "",
-            "mean_syllables": mean_syllables_per_line(list(poem.lines))})
+    # sense pauses: every poem pair, 100-line samples classified once per poem;
+    # a poem's ratio rows follow its first pair whose t-test succeeded
+    reports = {poem.id: window_ratio_reports(poem, 100)
+               for poem in corpus.poems}
+    tested: dict[str, None] = {}
+    ttest_rows = []
     for i, poem_a in enumerate(corpus.poems):
         for poem_b in corpus.poems[i + 1:]:
             try:
-                reports_a, reports_b, result = sample_ratio_comparison(
-                    poem_a, poem_b, 100)
+                result = sample_ratio_comparison(reports[poem_a.id],
+                                                 reports[poem_b.id])
             except AnalysisError as exc:
                 skip("sensepause", f"{poem_a.id}/{poem_b.id}", exc)
                 continue
-            for row in _ratio_rows(reports_a) + _ratio_rows(reports_b):
-                if row not in ratio_rows:
-                    ratio_rows.append(row)
-            row = test_result_row("intraline_ratio_t", result)
-            row["poem_a"], row["poem_b"] = poem_a.id, poem_b.id
-            ttest_rows.append(row)
-    if ratio_rows:
-        write_table(out / "sensepause", "ratios",
-                    ("unit", "intraline", "final", "ratio"), ratio_rows, fmt)
-    if ttest_rows:
-        write_table(out / "sensepause", "ttests",
-                    ("poem_a", "poem_b") + TEST_COLUMNS, ttest_rows, fmt)
-    write_table(out / "sensepause", "syllables",
-                ("poem", "part", "mean_syllables"), syllable_rows, fmt)
+            tested.update(dict.fromkeys((poem_a.id, poem_b.id)))
+            ttest_rows.append(test_result_row(
+                "intraline_ratio_t", result, poem_a=poem_a.id,
+                poem_b=poem_b.id))
+    table("sensepause", "ratios", RATIO_COLUMNS,
+          [row for pid in tested for row in _ratio_rows(reports[pid])])
+    table("sensepause", "ttests", ("poem_a", "poem_b") + TEST_COLUMNS,
+          ttest_rows)
+    write_table(out / "sensepause", "syllables", SYLLABLE_COLUMNS,
+                [_syllable_row(poem, None) for poem in corpus.poems], fmt)
 
     # metre battery per scanned poem
     split_rows, pairing_rows, independence_rows, incidence_rows = [], [], [], []
@@ -710,65 +663,45 @@ def cmd_report(args: argparse.Namespace) -> int:
         if all(ln.a_pattern is None and ln.b_pattern is None
                for ln in poem.lines):
             continue
-        if 1 <= args.split_line < poem.line_count:
+        splittable = 1 <= args.split_line < poem.line_count
+        if splittable:
             try:
-                table = split_distribution_tests(
+                split = split_distribution_tests(
                     poem, args.split_line, B=args.bootstrap,
                     rng=RngStream(args.seed))
-                split_rows.extend(_split_rows(table, poem.id))
-                pairing_rows.extend(_pairing_rows(table, poem.id))
+                split_rows.extend(_split_rows(split, poem.id))
+                pairing_rows.extend(_pairing_rows(split, poem.id))
             except AnalysisError as exc:
                 skip("metre split-tests", poem.id, exc)
         else:
             skip("metre split-tests", poem.id,
-                 AnalysisError(f"split line {args.split_line} outside poem"))
+                 f"split line {args.split_line} outside poem")
         try:
-            rolling = rolling_pattern_proportions(
-                poem, Granularity.HALF_LINE, 200, 100)
-            columns, rows = _proportions_rows(rolling)
-            write_table(out / "metre", f"proportions-{poem.id}", columns, rows,
-                        fmt)
-            _write_svg(out / "metre", f"rolling-{poem.id}", _stacked_spec(
-                rolling, f"{poem.id}: rolling half-line proportions",
-                args.split_line if 1 <= args.split_line < poem.line_count
-                else None))
-        except (AnalysisError, ValueError) as exc:
+            _write_rolling(out / "metre", poem.id, rolling_pattern_proportions(
+                poem, Granularity.HALF_LINE, 200, 100), "half",
+                args.split_line if splittable else None, fmt)
+        except AnalysisError as exc:
             skip("metre rolling", poem.id, exc)
         try:
             result = halves_independence_test(poem, None, None)
-            row = test_result_row("halves_independence", result)
-            row["poem"] = poem.id
-            independence_rows.append(row)
+            independence_rows.append(test_result_row(
+                "halves_independence", result, poem=poem.id))
         except AnalysisError as exc:
             skip("metre independence", poem.id, exc)
         try:
             counts = pattern_counts(poem, Granularity.FULL_LINE)
-            best = max(zip(counts.counts, counts.labels),
-                       key=lambda pair: (pair[0], pair[1]))
-            if best[0] >= 2:
-                pattern = best[1]
+            count, pattern = max(zip(counts.counts, counts.labels))
+            if count >= 2:
                 fit = cumulative_incidence_r(poem, pattern,
                                              Granularity.FULL_LINE)
-                incidence_rows.append({
-                    "poem": poem.id, "pattern": pattern,
-                    "granularity": "full", "slope": fit.slope,
-                    "intercept": fit.intercept, "r": fit.r, "n": fit.n})
+                incidence_rows.append(
+                    _incidence_fit_row(poem.id, pattern, "full", fit))
         except AnalysisError as exc:
             skip("metre incidence-r", poem.id, exc)
-    if split_rows:
-        write_table(out / "metre", "split-tests",
-                    ("poem", "split_line") + TEST_COLUMNS, split_rows, fmt)
-        write_table(out / "metre", "pairing",
-                    ("poem", "section", "paired", "skipped_missing_a",
-                     "skipped_missing_b", "misalignment_warnings"),
-                    pairing_rows, fmt)
-    if independence_rows:
-        write_table(out / "metre", "independence", ("poem",) + TEST_COLUMNS,
-                    independence_rows, fmt)
-    if incidence_rows:
-        write_table(out / "metre", "incidence",
-                    ("poem", "pattern", "granularity", "slope", "intercept",
-                     "r", "n"), incidence_rows, fmt)
+    table("metre", "split-tests", SPLIT_COLUMNS, split_rows)
+    table("metre", "pairing", PAIRING_COLUMNS, pairing_rows)
+    table("metre", "independence", INDEPENDENCE_COLUMNS, independence_rows)
+    table("metre", "incidence", INCIDENCE_FIT_COLUMNS, incidence_rows)
 
     # hapax compounds and type-token ratios
     index = build_compound_index(corpus)
@@ -785,15 +718,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             skip("hapax fit", poem.id, exc)
             continue
         fit_rows.append(_fit_row(poem.id, 1, poem.line_count, series, fit))
-        write_table(out / "hapax", f"series-{poem.id}", ("line", "cumulative"),
-                    [{"line": x, "cumulative": y} for x, y in series], fmt)
-        _write_svg(out / "hapax", f"hapax-{poem.id}", FigureSpec(
-            kind=FigureKind.SCATTER_FIT,
-            series=((poem.id, tuple((float(x), float(y)) for x, y in series)),),
-            title=f"{poem.id}: cumulative hapax compounds",
-            x_label="line", y_label="cumulative hapax count"))
-    if fit_rows:
-        write_table(out / "hapax", "fits", FIT_COLUMNS, fit_rows, fmt)
+        _write_hapax_series(out / "hapax", poem.id, series, fmt)
+    table("hapax", "fits", FIT_COLUMNS, fit_rows)
     write_table(out / "hapax", "ttr", ("poem", "tokens", "types", "ttr"),
                 ttr_rows, fmt)
 
@@ -808,30 +734,16 @@ def cmd_report(args: argparse.Namespace) -> int:
                     fmt)
     else:
         skip("shared", ",".join(compound_poems) or "(none)",
-             AnalysisError("fewer than two poems with compound annotations"))
+             "fewer than two poems with compound annotations")
 
     # clustering across the corpus, sweep on the longest poem
     try:
-        windows = _cluster_windows(corpus, None, 300, 100)
-        profiles = build_profiles(corpus, windows, 3, 500)
-        dist = cosine_distance_matrix(profiles)
-        tree = agglomerative_complete(dist)
-        _write_text(out / "cluster" / "dendrogram.json", json.dumps({
-            "leaves": list(tree.leaves),
-            "merges": [[a, b, h] for a, b, h in tree.merges],
-        }, indent=2, ensure_ascii=False) + "\n")
-        _write_svg(out / "cluster", "dendrogram", FigureSpec(
-            kind=FigureKind.DENDROGRAM,
-            series=(("tree", tree),
-                    ("sublabels", tuple(_composition_text(w) for w in windows))),
-            title="complete-linkage dendrogram (cosine distance)",
-            y_label="cosine distance"))
-        assignment = top_two_assignment(tree)
+        windows, _, tree = _dendrogram(corpus, None, 300, 100, 3, 500)
+        _write_dendrogram(out / "cluster", windows, tree)
         truth = {window_id(w): majority_part(w) for w in windows}
-        purity, ari = clustering_quality(assignment, truth)
-        _write_text(out / "cluster" / "quality.json", json.dumps(
-            {"purity": purity, "adjusted_rand": ari}, indent=2,
-            sort_keys=True) + "\n")
+        purity, ari = clustering_quality(top_two_assignment(tree), truth)
+        _write_json(out / "cluster" / "quality.json",
+                    {"purity": purity, "adjusted_rand": ari})
     except AnalysisError as exc:
         skip("cluster dendrogram", "(corpus)", exc)
     sweep_target = max(corpus.poems, key=lambda p: (p.line_count, p.id))
@@ -841,17 +753,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         result = robustness_sweep(
             corpus, sweep_target.id, n_values=[2, 3],
             k_values=[100, 200, 300, 400, 500], width=300, step=100)
-        _sweep_outputs(out / "cluster", result, fmt)
+        _write_sweep(out / "cluster", result, fmt)
     except AnalysisError as exc:
         skip("cluster sweep", sweep_target.id, exc)
 
     write_table(out / "report", "skipped", ("analysis", "unit", "reason"),
                 skipped, fmt)
-    write_run_manifest(out, "report", root, {
-        "split_line": args.split_line, "bootstrap": args.bootstrap,
-        "trials": args.trials, "format": fmt,
-    }, args.seed)
-    return 0
 
 
 # ---------------------------------------------------------------- parser ----
@@ -897,7 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
     sense.add_argument("--strict-compat", action="store_true",
                        help="reproduce the uncorrected legacy classification")
     sense.add_argument("--ascii-quotes", action="store_true")
-    sense.add_argument("--no-count-hyphen", action="store_true")
+    sense.add_argument("--no-count-hyphen", dest="count_hyphen",
+                       action="store_false")
     sense.set_defaults(func=cmd_sensepause)
 
     metre = sub.add_parser("metre", help="metrical pattern analyses")
@@ -948,7 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
     segments = hapax_sub.add_parser("segments", parents=[common, with_corpus])
     segments.add_argument("--mode", choices=("partition", "merge"),
                           required=True)
-    segments.add_argument("--unit", action="append", required=True,
+    segments.add_argument("--unit", dest="units", action="append",
+                          required=True,
                           help="POEM[:FIRST-LAST]; repeat for each unit")
     segments.set_defaults(func=cmd_hapax_segments)
 
@@ -1008,7 +917,19 @@ def dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if "corpus" not in args:
+            return args.func(args)
+        root, out = Path(args.corpus), Path(args.out)
+        if args.command != "report":
+            out /= args.command
+        args.func(args, parse_corpus(root), out)
+        options = vars(args)
+        command = " ".join(options[key] for key in ("command", "subcommand")
+                           if key in options)
+        write_run_manifest(out, command, root, {
+            key: value for key, value in options.items()
+            if key not in NOT_PARAMETERS}, args.seed)
+        return 0
     except (VersemetryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -80,12 +80,6 @@ class Poem:
             seen.setdefault(part.name, None)
         return tuple(seen)
 
-    def part_of(self, index: int) -> str:
-        for part in self.parts:
-            if part.first <= index <= part.last:
-                return part.name
-        raise CorpusError(f"poem {self.id}: line {index} out of range")
-
 
 @dataclass(frozen=True)
 class SampleWindow:

@@ -43,11 +43,6 @@ class CompoundIndex:
     totals: Mapping[str, int]
     hapax_set: frozenset[str]
 
-    def poem_types(self, poem_id: str) -> frozenset[str]:
-        return frozenset(
-            lemma for lemma, places in self.by_type.items()
-            if any(pid == poem_id for pid, _ in places))
-
 
 @dataclass(frozen=True)
 class PairScore:

@@ -38,7 +38,6 @@ __all__ = [
     "HALF_LABELS",
     "FULL_LABELS",
     "DEFAULT_SPLIT_LINE",
-    "ALTERNATIVE_SPLIT_LINE",
     "PatternCounts",
     "PairingLog",
     "RollingProportions",
@@ -55,9 +54,8 @@ __all__ = [
 HALF_LABELS: tuple[str, ...] = ("A", "B", "C", "D", "E")
 FULL_LABELS: tuple[str, ...] = tuple(a + b for a in HALF_LABELS for b in HALF_LABELS)
 
-# canonical split used throughout, plus the scribal-hand alternative
+# canonical split used throughout
 DEFAULT_SPLIT_LINE = 2300
-ALTERNATIVE_SPLIT_LINE = 1939
 
 
 class Granularity(Enum):

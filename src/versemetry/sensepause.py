@@ -40,6 +40,7 @@ __all__ = [
     "RatioReport",
     "classify_sense_pauses",
     "intraline_ratio",
+    "window_ratio_reports",
     "sample_ratio_comparison",
     "mean_syllables_per_line",
 ]
@@ -216,8 +217,13 @@ def intraline_ratio(
     return RatioReport(unit_id, intraline, final, ratio)
 
 
-def _window_reports(poem: Poem, part: str | None, sample_len: int,
-                    **toggles) -> list[RatioReport]:
+def window_ratio_reports(poem: Poem, sample_len: int, *,
+                         part: str | None = None,
+                         **toggles) -> list[RatioReport]:
+    """Pause counts of each ``sample_len``-line sample of a poem or part.
+
+    ``toggles`` are the classification switches of ``intraline_ratio``.
+    """
     numbers = filtered_line_numbers(poem, part)
     label = poem.id if part is None else f"{poem.id}/{part}"
     reports = []
@@ -229,31 +235,18 @@ def _window_reports(poem: Poem, part: str | None, sample_len: int,
     return reports
 
 
-def sample_ratio_comparison(
-    a: Poem,
-    b: Poem,
-    sample_len: int = 100,
-    *,
-    part_a: str | None = None,
-    part_b: str | None = None,
-    strict_compat: bool = False,
-    ascii_quotes: bool = False,
-    count_hyphen: bool = True,
-) -> tuple[list[RatioReport], list[RatioReport], TestResult]:
-    """Per-sample ratio lists for two poems (or parts) plus a pooled t-test.
+def sample_ratio_comparison(reports_a: Sequence[RatioReport],
+                            reports_b: Sequence[RatioReport]) -> TestResult:
+    """Pooled t-test of two per-sample ratio lists.
 
     Samples with no marks have undefined ratios and are excluded from the
     test; each side must keep at least two usable samples.
     """
-    toggles = dict(strict_compat=strict_compat, ascii_quotes=ascii_quotes,
-                   count_hyphen=count_hyphen)
-    reports_a = _window_reports(a, part_a, sample_len, **toggles)
-    reports_b = _window_reports(b, part_b, sample_len, **toggles)
     ratios_a = [r.ratio for r in reports_a if r.ratio is not None]
     ratios_b = [r.ratio for r in reports_b if r.ratio is not None]
     if len(ratios_a) < 2 or len(ratios_b) < 2:
         raise AnalysisError("insufficient samples")
-    return reports_a, reports_b, pooled_t_test(ratios_a, ratios_b)
+    return pooled_t_test(ratios_a, ratios_b)
 
 
 def _strip_accents(text: str) -> str:

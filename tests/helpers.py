@@ -1,10 +1,13 @@
 """Builders for synthetic poems and on-disk corpora used across test modules."""
 
+import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
+from versemetry.cli import dispatch
 from versemetry.corpus import Corpus, PartRange, Poem, VerseLine, rolling_windows
 from versemetry.errors import AnalysisError
 from versemetry.metre import HALF_LABELS
@@ -330,3 +333,66 @@ def print_precision_preimage(t2dp, df, p4dp):
         else:
             hi = mid
     return lo
+
+
+# ------------------------------------------------------------ golden trees --
+
+GOLDEN_PATH = Path(__file__).parent / "fixtures" / "cli_golden.json"
+
+# Every analysis command on the two-poem corpus of test_cli.py, keyed by case
+# name; ``--corpus`` and ``--out`` are appended when a case runs.  The
+# criterion-8 case (CRITERION_8_ARGV on its own corpus) is recorded alongside.
+CLI_GOLDEN_CASES = {
+    "sensepause": ["sensepause", "--poem-a", "alpha", "--poem-b", "beta"],
+    "sensepause-strict": ["sensepause", "--poem-a", "alpha",
+                          "--poem-b", "beta", "--strict-compat",
+                          "--no-count-hyphen"],
+    "sensepause-parts-json": ["sensepause", "--poem-a", "alpha",
+                              "--poem-b", "alpha", "--part-a", "A",
+                              "--part-b", "B", "--sample-len", "50",
+                              "--ascii-quotes", "--format", "json"],
+    "metre-rolling": ["metre", "rolling", "--poem", "alpha", "--width", "100",
+                      "--step", "25", "--split-line", "350"],
+    "metre-split-tests": ["metre", "split-tests", "--poem", "alpha",
+                          "--split-line", "350", "--bootstrap", "1000",
+                          "--seed", "3"],
+    "metre-independence": ["metre", "independence", "--poem", "alpha",
+                           "--first", "1", "--last", "600"],
+    "metre-incidence-r": ["metre", "incidence-r", "--poem", "alpha",
+                          "--pattern", "A", "--granularity", "half"],
+    "hapax-fit": ["hapax", "fit", "--poem", "alpha", "--first", "20",
+                  "--last", "690"],
+    "hapax-segments-partition": ["hapax", "segments", "--mode", "partition",
+                                 "--unit", "alpha:1-350",
+                                 "--unit", "alpha:351-700"],
+    "hapax-segments-merge": ["hapax", "segments", "--mode", "merge",
+                             "--unit", "alpha", "--unit", "beta"],
+    "shared": ["shared", "--trials", "1000", "--seed", "5"],
+    "cluster-profiles": ["cluster", "profiles", "--n", "2", "--k", "80"],
+    "cluster-dendrogram": ["cluster", "dendrogram", "--n", "2", "--k", "80"],
+    "cluster-sweep": ["cluster", "sweep", "--poem", "alpha",
+                      "--n-values", "2,3", "--k-values", "100:200:100"],
+    "report": ["report", "--seed", "7", "--bootstrap", "1000",
+               "--split-line", "350"],
+}
+CRITERION_8_ARGV = ["report", "--seed", "7"]
+
+
+def tree_digests(root):
+    """sha256 of every file under ``root``, keyed by relative posix path."""
+    return {p.relative_to(root).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def run_digests(argv, corpus_dir, out):
+    """Run one CLI invocation into ``out`` and digest its output tree."""
+    code = dispatch([*argv, "--corpus", str(corpus_dir), "--out", str(out)])
+    assert code == 0, f"{argv} exited {code}"
+    return tree_digests(out)
+
+
+def differing_files(actual, expected):
+    """Files missing, extra or with another digest, sorted by name."""
+    return sorted(name for name in actual.keys() | expected.keys()
+                  if actual.get(name) != expected.get(name))

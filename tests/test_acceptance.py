@@ -8,6 +8,7 @@ environment variable, default ``<repo>/dataset``); it is skipped, not
 failed, when that corpus is absent.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -17,11 +18,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    CRITERION_8_ARGV,
+    GOLDEN_PATH,
     P_PRINT_TOLERANCE,
     REFERENCE_TUPLES,
     brute_force_complete,
     build_corpus,
     build_poem,
+    differing_files,
     drift_scansion_poem,
     iid_scansion_poem,
     null_allocated_compound_corpus,
@@ -398,25 +402,31 @@ def fixture_poem(poem_id, n, seed, scanned, parts=None):
     return Poem(id=poem_id, lines=tuple(lines), parts=parts)
 
 
-def test_criterion_8_deterministic_report(capsys, tmp_path):
-    """`report --seed 7` on a 10000-line corpus: two runs produce
-    byte-identical output trees (SVG included) and one run takes < 60 s."""
-    corpus_dir = tmp_path / "corpus"
-    write_corpus(build_corpus(
+def criterion_8_corpus():
+    """The 10000-line, three-poem corpus of criterion 8."""
+    return build_corpus(
         fixture_poem("epic-a", 4000, 11, True,
                      parts=(PartRange("A", 1, 2000),
                             PartRange("B", 2001, 4000))),
         fixture_poem("epic-b", 3500, 12, True),
         fixture_poem("saga", 2500, 13, False),
-    ), corpus_dir)
+    )
+
+
+def test_criterion_8_deterministic_report(capsys, tmp_path):
+    """`report --seed 7` on a 10000-line corpus: two runs produce
+    byte-identical output trees (SVG included) and one run takes < 60 s.
+    The first tree also matches the recorded golden digests."""
+    corpus_dir = tmp_path / "corpus"
+    write_corpus(criterion_8_corpus(), corpus_dir)
 
     trees = []
     elapsed = None
     for name in ("first", "second"):
         out = tmp_path / name
         t0 = time.perf_counter()
-        code = dispatch(["report", "--corpus", str(corpus_dir),
-                         "--seed", "7", "--out", str(out)])
+        code = dispatch([*CRITERION_8_ARGV, "--corpus", str(corpus_dir),
+                         "--out", str(out)])
         elapsed = elapsed if elapsed is not None else time.perf_counter() - t0
         assert code == 0
         trees.append({
@@ -426,13 +436,19 @@ def test_criterion_8_deterministic_report(capsys, tmp_path):
 
     identical = trees[0] == trees[1]
     svg_count = sum(1 for name in trees[0] if name.endswith(".svg"))
-    ok = identical and elapsed < 60.0 and svg_count > 0
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["criterion-8"]
+    differing = differing_files(
+        {name: hashlib.sha256(data).hexdigest()
+         for name, data in trees[0].items()}, golden)
+    ok = identical and elapsed < 60.0 and svg_count > 0 and not differing
     verdict(capsys, 8, ok,
             f"{len(trees[0])} files ({svg_count} SVG) byte-identical across "
-            f"runs: {identical}; first run {elapsed:.1f}s (< 60 s)")
+            f"runs: {identical}; first run {elapsed:.1f}s (< 60 s); "
+            f"files differing from the golden digests: {differing}")
     assert identical
     assert svg_count > 0
     assert elapsed < 60.0
+    assert differing == []
 
 
 # ---------------------------------------------------------------- 9 ---------

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from helpers import build_corpus, iid_scansion_poem, pool_text_poem
+from helpers import (
+    CLI_GOLDEN_CASES,
+    GOLDEN_PATH,
+    build_corpus,
+    build_poem,
+    differing_files,
+    iid_scansion_poem,
+    pool_text_poem,
+    run_digests,
+)
 from versemetry.cli import build_parser, dispatch
 from versemetry.corpus import PartRange, Poem, VerseLine, parse_corpus, write_corpus
 from versemetry.stats import RngStream
@@ -423,6 +432,47 @@ def test_report_skips_unsplittable_poems(corpus_dir, tmp_path):
                      "--split-line", "5000", "--out", str(out)]) == 0
     skipped = read_csv(out / "report" / "skipped.csv")
     assert any(row["analysis"] == "metre split-tests" for row in skipped)
+
+
+def test_report_sensepause_rows_follow_succeeding_pairs(tmp_path):
+    """Ratio rows list each poem at its first pair whose t-test succeeded:
+    (p0, p1) has zero variance on both sides, so p2 comes before p1."""
+    def text(intraline):
+        return lambda i: ("wes" + ";" * intraline(i), "hal.")
+
+    corpus_dir = tmp_path / "corpus"
+    write_corpus(build_corpus(
+        build_poem("p0", 300, text_fn=text(lambda i: 1)),
+        build_poem("p1", 300, text_fn=text(lambda i: 2)),
+        build_poem("p2", 300,
+                   text_fn=text(lambda i: int(i % (2 + i // 100) == 0))),
+    ), corpus_dir)
+    out = tmp_path / "out"
+    assert dispatch(["report", "--corpus", str(corpus_dir),
+                     "--out", str(out)]) == 0
+    units = [row["unit"] for row in read_csv(out / "sensepause" / "ratios.csv")]
+    assert [unit.split(":")[0] for unit in units[::3]] == ["p0", "p2", "p1"]
+    assert units[:3] == ["p0:1-100", "p0:101-200", "p0:201-300"]
+    skipped = read_csv(out / "report" / "skipped.csv")
+    assert {"analysis": "sensepause", "unit": "p0/p1",
+            "reason": "degenerate variance"} in skipped
+
+
+# golden digests -------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_case(golden):
+    assert set(golden) == set(CLI_GOLDEN_CASES) | {"criterion-8"}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_GOLDEN_CASES))
+def test_outputs_match_golden_digests(corpus_dir, tmp_path, golden, case):
+    digests = run_digests(CLI_GOLDEN_CASES[case], corpus_dir, tmp_path / "out")
+    assert differing_files(digests, golden[case]) == []
 
 
 # documentation --------------------------------------------------------------

@@ -70,9 +70,6 @@ def test_parse_three_part_structure(tmp_path):
     poem = parse_corpus(tmp_path).poem("gen")
     assert [p.name for p in poem.parts] == ["A", "B", "A"]
     assert poem.part_names() == ("A", "B")
-    assert poem.part_of(234) == "A"
-    assert poem.part_of(235) == "B"
-    assert poem.part_of(852) == "A"
 
 
 def test_parse_default_part_covers_poem(tmp_path):

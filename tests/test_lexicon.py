@@ -75,10 +75,6 @@ class TestCompoundIndex:
         index = build_compound_index(corpus)
         assert "eorlgestreon" not in index.hapax_set
 
-    def test_poem_types(self):
-        index = build_compound_index(three_poem_corpus())
-        assert index.poem_types("p1") == {"goldwine", "beadoleoma", "heofonrice"}
-
 
 class TestHapaxCumulativeFit:
     def test_one_hapax_per_line(self):

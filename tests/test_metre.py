@@ -6,7 +6,6 @@ import pytest
 from helpers import build_poem, drift_scansion_poem, iid_scansion_poem
 from versemetry.errors import AnalysisError
 from versemetry.metre import (
-    ALTERNATIVE_SPLIT_LINE,
     DEFAULT_SPLIT_LINE,
     FULL_LABELS,
     HALF_LABELS,
@@ -30,7 +29,7 @@ def test_label_universes():
     assert FULL_LABELS[0] == "AA"
     assert FULL_LABELS[-1] == "EE"
     assert list(FULL_LABELS) == sorted(FULL_LABELS)
-    assert (DEFAULT_SPLIT_LINE, ALTERNATIVE_SPLIT_LINE) == (2300, 1939)
+    assert DEFAULT_SPLIT_LINE == 2300
 
 
 # ---------------------------------------------------------------------------

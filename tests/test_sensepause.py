@@ -17,6 +17,7 @@ from versemetry.sensepause import (
     intraline_ratio,
     mean_syllables_per_line,
     sample_ratio_comparison,
+    window_ratio_reports,
 )
 from versemetry.stats import RngStream
 
@@ -279,7 +280,8 @@ def _punctuated_poem(poem_id, n, seed, parts=None):
 
 def test_poem_against_itself_is_null():
     poem = _punctuated_poem("p", 400, seed=1)
-    ra, rb, result = sample_ratio_comparison(poem, poem)
+    ra, rb = window_ratio_reports(poem, 100), window_ratio_reports(poem, 100)
+    result = sample_ratio_comparison(ra, rb)
     assert ra == rb
     assert result.statistic == 0.0
     assert result.p_value == 1.0
@@ -289,7 +291,8 @@ def test_poem_against_itself_is_null():
 def test_comparison_df_counts_usable_samples():
     a = _punctuated_poem("a", 439, seed=2)
     b = _punctuated_poem("b", 250, seed=3)
-    ra, rb, result = sample_ratio_comparison(a, b)
+    ra, rb = window_ratio_reports(a, 100), window_ratio_reports(b, 100)
+    result = sample_ratio_comparison(ra, rb)
     assert (len(ra), len(rb)) == (4, 2)
     assert result.df == 4
 
@@ -297,8 +300,9 @@ def test_comparison_df_counts_usable_samples():
 def test_comparison_with_part_filter():
     parts = (PartRange("A", 1, 250), PartRange("B", 251, 600))
     poem = _punctuated_poem("p", 600, seed=4, parts=parts)
-    ra, rb, result = sample_ratio_comparison(
-        poem, poem, part_a="A", part_b="B")
+    ra = window_ratio_reports(poem, 100, part="A")
+    rb = window_ratio_reports(poem, 100, part="B")
+    result = sample_ratio_comparison(ra, rb)
     assert (len(ra), len(rb)) == (2, 3)
     assert ra[0].unit_id == "p/A:1-100"
     assert rb[-1].unit_id == "p/B:201-300"
@@ -309,7 +313,8 @@ def test_comparison_requires_two_usable_samples_per_side():
     bare = build_poem("bare", 250, text_fn=lambda i: ("no punctuation", "at all"))
     other = _punctuated_poem("o", 250, seed=5)
     with pytest.raises(AnalysisError, match="insufficient samples"):
-        sample_ratio_comparison(bare, other)
+        sample_ratio_comparison(window_ratio_reports(bare, 100),
+                                window_ratio_reports(other, 100))
 
 
 # ---------------------------------------------------------------------------
