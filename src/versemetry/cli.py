@@ -465,12 +465,11 @@ def cmd_hapax_segments(args: argparse.Namespace, corpus: Corpus,
     index = build_compound_index(corpus)
     units = [_parse_unit(corpus, spec) for spec in args.units]
     mode = SegmentMode(args.mode)
-    fits, combined = segment_fits(units, mode, index.hapax_set)
+    unit_fits, combined = segment_fits(units, mode, index.hapax_set)
     rows = []
-    for (poem, first, last), fit in zip(units, fits):
+    for (poem, first, last), (series, fit) in zip(units, unit_fits):
         lo = 1 if first is None else first
         hi = poem.line_count if last is None else last
-        series, _ = hapax_cumulative_fit(poem, index.hapax_set, lo, hi)
         rows.append(_fit_row(f"{poem.id}:{lo}-{hi}", lo, hi, series, fit))
     total_hapax = sum(row["n_hapax"] for row in rows)
     total_lines = sum(row["last_line"] - row["first_line"] + 1 for row in rows)

@@ -7,8 +7,10 @@ cumulative regressions fit the running hapax count against the line index
 
 The shared-compound null model reallocates each compound type's occurrences
 independently across poems with probability proportional to each poem's
-compound token total, then recounts shared types per poem pair.  Types with a
-single occurrence can never be shared and are skipped during simulation.
+compound token total, then recounts shared types per poem pair.  Each
+occurrence is one categorical draw over the poems.  Types with a single
+occurrence can never be shared, so they set the poem weights but are not
+simulated.
 """
 
 from __future__ import annotations
@@ -119,18 +121,20 @@ def segment_fits(
     units: Sequence[tuple[Poem, int | None, int | None]],
     mode: SegmentMode,
     hapax_set: frozenset[str],
-) -> tuple[list[LinearFit], LinearFit]:
-    """Per-unit fits plus a combined fit.
+) -> tuple[list[tuple[list[tuple[int, int]], LinearFit]], LinearFit]:
+    """Per-unit (series, fit) pairs plus a combined fit.
 
-    Partition mode fits each unit independently and then the union series of
-    all units.  Merge mode concatenates the units in the given order with
-    contiguous line renumbering before fitting, reproducing the adversarial
-    merged-text demonstrations; per-unit fits are returned alongside.
+    Each unit's pair is what ``hapax_cumulative_fit`` returns for it, so the
+    last point of the series carries the unit's hapax count.  Partition mode
+    fits each unit independently and then the union series of all units.
+    Merge mode concatenates the units in the given order with contiguous line
+    renumbering before fitting, reproducing the adversarial merged-text
+    demonstrations; per-unit fits are returned alongside.
     """
     if len(units) < 2:
         raise AnalysisError("need at least two units")
 
-    unit_fits: list[LinearFit] = []
+    unit_fits: list[tuple[list[tuple[int, int]], LinearFit]] = []
     xs: list[int] = []
     ys: list[int] = []
     offset = 0
@@ -139,7 +143,7 @@ def segment_fits(
         lo = 1 if first is None else first
         hi = poem.line_count if last is None else last
         series, fit = hapax_cumulative_fit(poem, hapax_set, lo, hi)
-        unit_fits.append(fit)
+        unit_fits.append((series, fit))
         if mode is SegmentMode.MERGE:
             xs.extend(offset + (x - lo + 1) for x, _ in series)
             offset += hi - lo + 1
@@ -159,35 +163,50 @@ def type_token_ratio(poem: Poem) -> float | None:
     return len(set(tokens)) / len(tokens)
 
 
+# Trials simulated per block: the working arrays scale with the block, not
+# with N.  The draws are laid out trial-major, so the result does not depend
+# on this value.
+_TRIAL_BLOCK = 16
+
+
 def _null_shared_counts(
     multiplicities: Sequence[int],
     weights: np.ndarray,
     N: int,
     rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate the reallocation null.
+) -> np.ndarray:
+    """Simulate the reallocation null; returns (N, P, P) shared-type counts.
 
-    Returns (shared, assigned): ``shared`` is (N, P, P) shared-type counts,
-    ``assigned`` is (N, P) reallocated token totals per poem.  Types are
-    grouped by multiplicity so each group is simulated with one vectorized
-    multinomial draw; single-occurrence types can never be present in two
-    poems, so they contribute tokens but are skipped for presence counting.
+    Entry ``[t, i, j]`` counts the types present in both poems i and j in
+    trial t, so the diagonal counts the types present in each poem.  Only
+    types with two or more occurrences are simulated, in ascending
+    multiplicity: each trial draws one uniform per occurrence, and
+    ``searchsorted`` on the cumulative weights turns it into a poem index
+    (a categorical draw).  A float32 one-hot presence tensor (trial, type,
+    poem) gives the shared counts as a batched matmul, whose sums are exact
+    while there are fewer than 2**24 types.
     """
     P = weights.size
     shared = np.zeros((N, P, P), dtype=np.int64)
-    assigned = np.zeros((N, P), dtype=np.int64)
-    counts_by_m: dict[int, int] = {}
-    for m in multiplicities:
-        counts_by_m[m] = counts_by_m.get(m, 0) + 1
+    mults = sorted(m for m in multiplicities if m >= 2)
+    types = len(mults)
+    # column j of a trial's draws is an occurrence of type occurrence_type[j]
+    occurrence_type = np.repeat(np.arange(types), mults)
+    cumw = np.cumsum(weights)
+    cumw[-1] = 1.0  # a uniform in [0, 1) never maps past the last poem
+    block = min(_TRIAL_BLOCK, N)
+    # flat offset of each draw's (trial, type) row in a block's presence
+    row_offset = (np.arange(block)[:, None] * types + occurrence_type) * P
     gen = rng.generator()
-    for m in sorted(counts_by_m):
-        c = counts_by_m[m]
-        draws = gen.multinomial(m, weights, size=(N, c))
-        assigned += draws.sum(axis=1)
-        if m >= 2:
-            presence = (draws > 0).astype(np.int64)
-            shared += np.einsum("ncp,ncq->npq", presence, presence)
-    return shared, assigned
+    for start in range(0, N, block):
+        n = min(block, N - start)
+        flat = np.searchsorted(cumw, gen.random((n, occurrence_type.size)),
+                               side="right")
+        flat += row_offset[:n]
+        presence = np.zeros((n, types, P), dtype=np.float32)
+        presence.reshape(-1)[flat] = 1
+        shared[start:start + n] = presence.transpose(0, 2, 1) @ presence
+    return shared
 
 
 def shared_compound_scores(
@@ -226,7 +245,7 @@ def shared_compound_scores(
         relevant = [pid for pid, _ in places if pid in pos]
         if relevant:
             multiplicities.append(len(relevant))
-    shared_null, _ = _null_shared_counts(multiplicities, weights, N, rng)
+    shared_null = _null_shared_counts(multiplicities, weights, N, rng)
 
     observed = np.zeros((len(kept), len(kept)), dtype=np.int64)
     for lemma, places in index.by_type.items():

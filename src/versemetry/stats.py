@@ -476,6 +476,10 @@ def _gof_stats(ref: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return stats
 
 
+# Replicate rows per block when computing bootstrap statistics.
+_STAT_BLOCK = 1024
+
+
 def bootstrap_null_p(
     pooled_items: Sequence,
     n_a: int,
@@ -505,14 +509,20 @@ def bootstrap_null_p(
         counts[index[item]] += 1
     probs = counts / counts.sum()
 
+    if stat_kind is BootstrapStat.HOMOGENEITY:
+        statistic = _homogeneity_stats
+    elif stat_kind is BootstrapStat.GOF:
+        statistic = _gof_stats
+    else:
+        raise ValueError(f"unknown bootstrap statistic: {stat_kind}")
     gen = rng.generator()
     sample_a = gen.multinomial(n_a, probs, size=B)
     sample_b = gen.multinomial(n_b, probs, size=B)
-    if stat_kind is BootstrapStat.HOMOGENEITY:
-        stats = _homogeneity_stats(sample_a, sample_b)
-    elif stat_kind is BootstrapStat.GOF:
-        stats = _gof_stats(sample_a, sample_b)
-    else:
-        raise ValueError(f"unknown bootstrap statistic: {stat_kind}")
-    exceed = int(np.count_nonzero(stats >= observed_stat))
+    # Each replicate's statistic depends on its own row only, so row blocks
+    # bound the float temporaries without changing any value.
+    exceed = 0
+    for start in range(0, B, _STAT_BLOCK):
+        rows = slice(start, start + _STAT_BLOCK)
+        exceed += int(np.count_nonzero(
+            statistic(sample_a[rows], sample_b[rows]) >= observed_stat))
     return (1 + exceed) / (B + 1)

@@ -139,6 +139,25 @@ def null_allocated_compound_corpus(multiplicities, weights, seed, stream=0):
     return build_corpus(*poems)
 
 
+def multinomial_null_shared_counts(multiplicities, weights, N, rng):
+    """Reference shared-compound null: one multinomial draw per type.
+
+    The kernel ``lexicon._null_shared_counts`` replaced.  Types are grouped
+    by multiplicity and every group, single-occurrence types included, takes
+    an (N, c) multinomial draw; presence counts come from an int64 einsum.
+    Returns the (N, P, P) shared-type counts.
+    """
+    P = weights.size
+    shared = np.zeros((N, P, P), dtype=np.int64)
+    gen = rng.generator()
+    for m, c in sorted(Counter(multiplicities).items()):
+        draws = gen.multinomial(m, weights, size=(N, c))
+        if m >= 2:
+            presence = (draws > 0).astype(np.int64)
+            shared += np.einsum("ncp,ncq->npq", presence, presence)
+    return shared
+
+
 def write_simple_poem_files(root, poem_id, text_lines, scansion_rows=None,
                             compound_rows=None, parts=None):
     """Write one poem's files by hand and return its manifest entry.

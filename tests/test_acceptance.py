@@ -545,17 +545,17 @@ def test_criterion_9_published_dataset(capsys):
     third = exodus.line_count // 3
     exodus_units = [(exodus, 1, third), (exodus, third + 1, 2 * third),
                     (exodus, 2 * third + 1, exodus.line_count)]
-    fits, _ = segment_fits(exodus_units, SegmentMode.PARTITION, hapax)
-    for fit, want in zip(fits, EXODUS_THIRDS_SLOPES):
+    unit_fits, _ = segment_fits(exodus_units, SegmentMode.PARTITION, hapax)
+    for (_, fit), want in zip(unit_fits, EXODUS_THIRDS_SLOPES):
         checks.append((f"exodus third slope {_slope_per100(fit):.2f} "
                        f"vs {want}", rel_ok(_slope_per100(fit), want)))
 
     elene = corpus.poem("elene")
     half = elene.line_count // 2
-    fits, _ = segment_fits([(elene, 1, half),
-                            (elene, half + 1, elene.line_count)],
-                           SegmentMode.PARTITION, hapax)
-    for fit, want in zip(fits, ELENE_HALVES_SLOPES):
+    unit_fits, _ = segment_fits([(elene, 1, half),
+                                 (elene, half + 1, elene.line_count)],
+                                SegmentMode.PARTITION, hapax)
+    for (_, fit), want in zip(unit_fits, ELENE_HALVES_SLOPES):
         checks.append((f"elene half slope {_slope_per100(fit):.2f} vs {want}",
                        rel_ok(_slope_per100(fit), want)))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from versemetry import lexicon
 from versemetry.errors import AnalysisError
 from versemetry.lexicon import (
     PairScore,
@@ -20,7 +21,12 @@ from versemetry.lexicon import (
 )
 from versemetry.stats import RngStream, ols_fit
 
-from helpers import build_corpus, build_poem, null_allocated_compound_corpus
+from helpers import (
+    build_corpus,
+    build_poem,
+    multinomial_null_shared_counts,
+    null_allocated_compound_corpus,
+)
 
 THREE_POEM_COMPOUNDS = {
     "p1": {1: ("goldwine", "beadoleoma"), 2: ("goldwine",), 4: ("heofonrice",)},
@@ -119,11 +125,23 @@ class TestSegmentFits:
         poem = unique_hapax_poem("p", 40, hapax_lines=range(3, 41, 3))
         index = build_compound_index(build_corpus(poem))
         _, full = hapax_cumulative_fit(poem, index.hapax_set)
-        fits, combined = segment_fits(
+        unit_fits, combined = segment_fits(
             [(poem, 1, 20), (poem, 21, 40)], SegmentMode.PARTITION,
             index.hapax_set)
-        assert len(fits) == 2
+        assert len(unit_fits) == 2
         assert combined == full
+
+    def test_unit_series_and_fits_match_single_fits(self):
+        a = unique_hapax_poem("a", 30, hapax_lines=range(1, 31, 4))
+        b = unique_hapax_poem("b", 12, hapax_lines=[2, 3, 11])
+        index = build_compound_index(build_corpus(a, b))
+        units = [(a, 5, 24), (b, None, None)]
+        for mode in SegmentMode:
+            unit_fits, _ = segment_fits(units, mode, index.hapax_set)
+            assert unit_fits == [
+                hapax_cumulative_fit(a, index.hapax_set, 5, 24),
+                hapax_cumulative_fit(b, index.hapax_set)]
+            assert [series[-1][1] for series, _ in unit_fits] == [5, 3]
 
     def test_needs_two_units(self):
         poem = unique_hapax_poem("p", 10)
@@ -155,13 +173,13 @@ class TestSegmentFits:
         a = unique_hapax_poem("a", 5, hapax_lines=[2])
         b = unique_hapax_poem("b", 4, hapax_lines=[1, 4])
         index = build_compound_index(build_corpus(a, b))
-        fits, combined = segment_fits(
+        unit_fits, combined = segment_fits(
             [(a, None, None), (b, None, None)], SegmentMode.MERGE,
             index.hapax_set)
         expected = ols_fit(range(1, 10), [0, 1, 1, 1, 1, 2, 2, 2, 3])
         assert combined == expected
-        assert fits[0] == ols_fit(range(1, 6), [0, 1, 1, 1, 1])
-        assert fits[1] == ols_fit(range(1, 5), [1, 1, 1, 2])
+        assert unit_fits[0][1] == ols_fit(range(1, 6), [0, 1, 1, 1, 1])
+        assert unit_fits[1][1] == ols_fit(range(1, 5), [1, 1, 1, 2])
 
 
 class TestTypeTokenRatio:
@@ -256,20 +274,6 @@ class TestSharedCompoundScores:
         assert score.z == 0.0
         assert score.empirical_tail == 1.0
 
-    def test_null_conserves_tokens_and_shares(self):
-        multiplicities = [1, 2, 2, 3, 5]
-        weights = np.array([0.5, 0.3, 0.2])
-        N = 4000
-        _, assigned = _null_shared_counts(
-            multiplicities, weights, N, RngStream(17))
-        total = sum(multiplicities)
-        assert np.all(assigned.sum(axis=1) == total)
-        for p, w in enumerate(weights):
-            expect = total * w
-            var = sum(m * w * (1 - w) for m in multiplicities)
-            se = math.sqrt(var / N)
-            assert abs(assigned[:, p].mean() - expect) < 3 * se
-
     def test_null_model_self_consistency(self):
         # Annotations generated from the very null model the scores assume
         # should produce roughly standard-normal z values.  The fixture keeps
@@ -293,3 +297,144 @@ class TestSharedCompoundScores:
     def test_pair_score_fields_round_trip(self):
         score = PairScore("a", "b", 3, 1.5, 0.5, 3.0, 0.01)
         assert score.z == (score.observed_shared - score.null_mean) / score.null_sd
+
+
+def four_poem_corpus():
+    # Types of multiplicity 2 and 3 spread over four poems, plus hapaxes.
+    return build_corpus(
+        build_poem("A", 2, compounds={1: ("beag", "brim", "eorl", "eorl"),
+                                      2: ("folc", "ganot")}),
+        build_poem("B", 2, compounds={1: ("beag", "cyning", "cyning"),
+                                      2: ("folc", "heofon")}),
+        build_poem("C", 2, compounds={1: ("brim", "cyning"),
+                                      2: ("dryht", "ides")}),
+        build_poem("D", 2, compounds={1: ("brim", "dryht", "folc"),
+                                      2: ("lind", "mere")}),
+    )
+
+
+# (poem_a, poem_b, observed, null_mean, null_sd, z, tail) at RngStream(29),
+# N=1000, recorded from the categorical-draw kernel.
+PINNED_FOUR_POEM_SCORES = [
+    ("A", "B", 2, 1.474, 1.0258539741972912, 0.5127435417029834, 0.469),
+    ("A", "C", 1, 1.191, 0.9609591263120625, -0.1987597544684482, 0.742),
+    ("A", "D", 2, 1.42, 1.0201179542781516, 0.5685617016812683, 0.439),
+    ("B", "C", 1, 0.991, 0.8611972251817005, 0.01045056781052811, 0.681),
+    ("B", "D", 1, 1.275, 0.9717609373294027, -0.28299141222506435, 0.775),
+    ("C", "D", 2, 0.973, 0.9039292494925076, 1.13615086642742, 0.259),
+]
+
+
+class FixedUniforms:
+    """Stand-in for ``RngStream`` whose generator returns one constant."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def generator(self):
+        return self
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+class TestNullSharedCounts:
+    MULTIPLICITIES = [1, 2, 2, 3, 5]
+    WEIGHTS = np.array([0.5, 0.3, 0.2])
+
+    @pytest.mark.parametrize("kernel", [
+        _null_shared_counts, multinomial_null_shared_counts,
+    ], ids=["categorical", "multinomial-reference"])
+    def test_null_mean_matches_closed_form(self, kernel):
+        # A type of multiplicity m is present in poem i with probability
+        # 1 - (1-w_i)^m, and in both i and j with probability
+        # 1 - (1-w_i)^m - (1-w_j)^m + (1-w_i-w_j)^m.  The diagonal counts
+        # only the simulated types, those with m >= 2; a single-occurrence
+        # type adds 0 to every off-diagonal mean.
+        N = 4000
+        shared = kernel(self.MULTIPLICITIES, self.WEIGHTS, N, RngStream(17))
+        assert shared.shape == (N, 3, 3)
+        w = self.WEIGHTS
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    expect = sum(1 - (1 - w[i]) ** m
+                                 for m in self.MULTIPLICITIES if m >= 2)
+                else:
+                    expect = sum(
+                        1 - (1 - w[i]) ** m - (1 - w[j]) ** m
+                        + (1 - w[i] - w[j]) ** m
+                        for m in self.MULTIPLICITIES)
+                values = shared[:, i, j]
+                se = values.std(ddof=1) / math.sqrt(N)
+                assert se > 0
+                assert abs(values.mean() - expect) < 4 * se, (i, j)
+
+    def test_result_independent_of_trial_block(self, monkeypatch):
+        multiplicities = [1] * 30 + [2] * 20 + [3] * 7 + [5] * 4
+        weights = np.array([0.4, 0.25, 0.2, 0.1, 0.05])
+        args = (multiplicities, weights, 1000, RngStream(8))
+        default = _null_shared_counts(*args)
+        assert 1000 % lexicon._TRIAL_BLOCK != 0
+        for block in (1, 7, 999, 1000, 4096):
+            monkeypatch.setattr(lexicon, "_TRIAL_BLOCK", block)
+            assert np.array_equal(_null_shared_counts(*args), default)
+
+    def test_shared_symmetric_and_bounded(self):
+        multiplicities = [1] * 10 + [2] * 8 + [3] * 5 + [4] * 3
+        weights = np.array([0.35, 0.3, 0.2, 0.1, 0.05])
+        shared = _null_shared_counts(
+            multiplicities, weights, 1000, RngStream(4))
+        types = sum(1 for m in multiplicities if m >= 2)
+        assert np.array_equal(shared, shared.transpose(0, 2, 1))
+        assert shared.min() >= 0
+        assert shared.max() <= types
+        diag = np.diagonal(shared, axis1=1, axis2=2)
+        assert np.all(shared <= diag[:, :, None])
+        # every type is present in at least one poem, and in at most m
+        assert np.all(diag.sum(axis=1) >= types)
+        assert np.all(diag.sum(axis=1)
+                      <= sum(m for m in multiplicities if m >= 2))
+
+    def test_diagonal_counts_types_present(self):
+        # With two poems each type is in one or both, so the diagonals minus
+        # the shared count give the number of simulated types exactly.
+        multiplicities = [1] * 5 + [2] * 6 + [3] * 4
+        shared = _null_shared_counts(
+            multiplicities, np.array([0.6, 0.4]), 1000, RngStream(9))
+        assert np.all(
+            shared[:, 0, 0] + shared[:, 1, 1] - shared[:, 0, 1] == 10)
+        # all the mass on the first poem puts every type there alone
+        shared = _null_shared_counts(
+            multiplicities, np.array([1.0, 0.0, 0.0]), 1000, RngStream(9))
+        expect = np.zeros((3, 3), dtype=np.int64)
+        expect[0, 0] = 10
+        assert np.array_equal(shared, np.broadcast_to(expect, shared.shape))
+
+    @pytest.mark.parametrize("weights", [
+        [1 / 3] * 3, [0.1] * 10, [0.7, 0.2, 0.1],
+    ], ids=["thirds", "tenths", "0.7-0.2-0.1"])
+    def test_largest_uniform_lands_on_last_poem(self, weights):
+        # [0.1] * 10 and [0.7, 0.2, 0.1] sum to 1 - 2**-53 ([1/3] * 3 to
+        # exactly 1); the largest uniform below 1 must still map to the last
+        # poem, not past it.
+        weights = np.array(weights)
+        P = weights.size
+        shared = _null_shared_counts(
+            [2, 2, 3], weights, 70, FixedUniforms(np.nextafter(1.0, 0.0)))
+        expect = np.zeros((P, P), dtype=np.int64)
+        expect[P - 1, P - 1] = 3
+        assert np.array_equal(shared, np.broadcast_to(expect, shared.shape))
+
+    def test_seeded_scores_pinned(self):
+        # Every null here has a positive sd, so a change to the null's draw
+        # stream shows in these values.
+        scores = shared_compound_scores(
+            four_poem_corpus(), N=1000, rng=RngStream(29))
+        assert len(scores) == len(PINNED_FOUR_POEM_SCORES)
+        for s, (a, b, obs, mean, sd, z, tail) in zip(
+                scores, PINNED_FOUR_POEM_SCORES):
+            assert (s.poem_a, s.poem_b, s.observed_shared) == (a, b, obs)
+            assert (s.null_mean, s.null_sd, s.z) == pytest.approx(
+                (mean, sd, z), rel=1e-12)
+            assert s.empirical_tail == tail

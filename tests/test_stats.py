@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import P_PRINT_TOLERANCE, REFERENCE_TUPLES, print_precision_preimage
+from versemetry import stats
 from versemetry.errors import AnalysisError
 from versemetry.stats import (
     BootstrapStat,
@@ -371,6 +372,19 @@ def test_bootstrap_gof_statistic_runs():
     p = bootstrap_null_p(items, n_a, n_b, 1.0, BootstrapStat.GOF,
                          1000, RngStream(8))
     assert 0.0 < p <= 1.0
+
+
+@pytest.mark.parametrize("kind", list(BootstrapStat))
+def test_bootstrap_p_independent_of_statistic_block(kind, monkeypatch):
+    # a rare category leaves some replicate rows with a zero reference
+    # count, so the GOF merge rule runs inside the blocks too
+    items, n_a, n_b = _pooled([40, 25, 9, 1], [30, 30, 12, 0])
+    ps = set()
+    for block in (1, 7, 1024, 5000):
+        monkeypatch.setattr(stats, "_STAT_BLOCK", block)
+        ps.add(bootstrap_null_p(items, n_a, n_b, 3.0, kind, 3001,
+                                RngStream(12)))
+    assert len(ps) == 1
 
 
 def test_bootstrap_rejects_small_B():
