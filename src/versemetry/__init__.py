@@ -13,7 +13,7 @@ Submodules:
 """
 
 from .corpus import Corpus, PartRange, Poem, SampleWindow, VerseLine, parse_corpus, write_corpus
-from .errors import AnalysisError, CorpusError, VersemetryError
+from .errors import AnalysisError, CorpusError, InputError, VersemetryError
 from .stats import LinearFit, RngStream, TestMethod, TestResult
 
 __version__ = "0.1.0"
@@ -22,6 +22,7 @@ __all__ = [
     "AnalysisError",
     "Corpus",
     "CorpusError",
+    "InputError",
     "LinearFit",
     "PartRange",
     "Poem",

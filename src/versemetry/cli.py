@@ -31,7 +31,7 @@ from .corpus import (
     parse_corpus,
     rolling_windows,
 )
-from .errors import AnalysisError, VersemetryError
+from .errors import AnalysisError, InputError, VersemetryError
 from .figures import FigureKind, FigureSpec, render_figure
 from .lexicon import (
     SegmentMode,
@@ -557,10 +557,14 @@ def cmd_cluster_dendrogram(args: argparse.Namespace, corpus: Corpus,
 
 
 def _int_list(text: str) -> list[int]:
-    if ":" in text:
-        first, last, step = (int(v) for v in text.split(":"))
-        return list(range(first, last + 1, step))
-    return [int(v) for v in text.split(",")]
+    try:
+        if ":" in text:
+            first, last, step = (int(v) for v in text.split(":"))
+            return list(range(first, last + 1, step))
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"bad integer list {text!r}: expected "
+                         "FIRST:LAST:STEP with STEP != 0, or A,B,...")
 
 
 def _write_sweep(out: Path, result, fmt: str) -> None:
@@ -929,7 +933,7 @@ def dispatch(argv: Sequence[str]) -> int:
             key: value for key, value in options.items()
             if key not in NOT_PARAMETERS}, args.seed)
         return 0
-    except (VersemetryError, ValueError) as exc:
+    except VersemetryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CorpusError
+from .errors import CorpusError, InputError
 
 __all__ = [
     "SCANSION_LABELS",
@@ -355,7 +355,7 @@ def partition_samples(poem: Poem, sample_len: int,
     renumbered contiguously from 1 (windows then index the filtered sequence).
     """
     if sample_len < 1:
-        raise ValueError("sample_len must be at least 1")
+        raise InputError("sample_len must be at least 1")
     if line_filter is None:
         total = poem.line_count
         windows = []
@@ -404,9 +404,9 @@ def filtered_line_numbers(poem: Poem, line_filter: str | None) -> list[int]:
 def rolling_windows(poem: Poem, width: int, step: int) -> list[SampleWindow]:
     """Overlapping windows starting at 1, 1+step, ... while they fit."""
     if width < 1:
-        raise ValueError("width must be at least 1")
+        raise InputError("width must be at least 1")
     if step < 1:
-        raise ValueError("step must be at least 1")
+        raise InputError("step must be at least 1")
     windows = []
     start = 1
     while start + width - 1 <= poem.line_count:

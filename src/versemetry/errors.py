@@ -12,3 +12,10 @@ class CorpusError(VersemetryError):
 
 class AnalysisError(VersemetryError):
     """An analysis was asked to run on degenerate or insufficient input."""
+
+
+class InputError(VersemetryError, ValueError):
+    """A parameter outside its valid range, such as a window width below 1.
+
+    It is a ``ValueError`` too, so callers that catch ``ValueError`` from
+    these parameter checks keep working."""

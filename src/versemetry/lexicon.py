@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, Poem
-from .errors import AnalysisError
+from .errors import AnalysisError, InputError
 from .stats import LinearFit, RngStream, ols_fit
 
 __all__ = [
@@ -222,7 +222,7 @@ def shared_compound_scores(
     relation is symmetric and diagonals are never reported.
     """
     if N < 1000:
-        raise ValueError("N must be at least 1000")
+        raise InputError("N must be at least 1000")
     if rng is None:
         rng = RngStream(0)
     index = build_compound_index(corpus)

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .corpus import Poem
-from .errors import AnalysisError
+from .errors import AnalysisError, InputError
 from .stats import (
     BootstrapStat,
     LinearFit,
@@ -205,7 +205,7 @@ def rolling_pattern_proportions(
     """
     _require_scansion(poem)
     if width < 1 or step < 1:
-        raise ValueError("width and step must be at least 1")
+        raise InputError("width and step must be at least 1")
     labels = HALF_LABELS if granularity is Granularity.HALF_LINE else FULL_LABELS
     m = _per_line_label_matrix(poem, granularity)
     if poem.line_count < width:

@@ -8,6 +8,18 @@ total count across all samples in the analysis (ties broken lexicographically)
 and profile values are relative frequencies against each sample's full n-gram
 total, so a profile restricted to the top-k sums to at most 1.
 
+Counting works on one integer gram-code array per poem.  Tokens never span
+lines, so a window's padded stream " <text> " is a substring of its poem's
+padded stream (the normalized non-empty lines joined by single spaces), and
+each window is a [start, end) range of gram positions.  Every gram position
+gets one int64 code: characters are ranked in the sorted alphabet of the
+streams and folded in base R, which keeps the lexicographic order of
+same-length grams.  A poem's grams are totalled over its windows by sorting
+the codes and weighting each position by the number of windows covering it;
+the distinct grams of all poems are then merged for the top-k.  Each poem's
+(features x windows) counts come from two searchsorted calls over sorted
+(feature, position) keys, so overlapping windows never recount text.
+
 Clustering is agglomerative with complete (maximum) linkage on cosine
 distances.  Ties are broken by the smallest (min-id, max-id) cluster-id pair;
 new clusters are numbered n_leaves, n_leaves+1, ... in merge order.
@@ -22,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, SampleWindow, rolling_windows
+from .corpus import Corpus, Poem, SampleWindow, rolling_windows
 from .errors import AnalysisError
 from .sensepause import PUNCTUATION_GLYPHS
 
@@ -38,7 +50,6 @@ __all__ = [
     "cosine_distance_matrix",
     "leaf_members",
     "majority_part",
-    "ngram_counts",
     "normalize_text",
     "robustness_sweep",
     "split_boundary_estimate",
@@ -115,27 +126,99 @@ def normalize_text(text: str) -> str:
     return " ".join(text.lower().translate(_TO_SPACE).split())
 
 
-def _stream_counts(normalized: str, n: int) -> Counter[str]:
-    stream = f" {normalized} "
-    starts = range(len(stream) - n + 1)
-    return Counter(map(stream.__getitem__,
-                       map(slice, starts, range(n, len(stream) + 1))))
+def _poem_stream(poem: Poem) -> tuple[str, list[int]]:
+    """A poem's padded normalized stream and its line edges.
+
+    The stream is one space followed by every non-empty normalized line and a
+    space, so the padded stream " <text> " of lines f..l is
+    ``stream[edges[f-1]:edges[l] + 1]``.
+    """
+    texts = [normalize_text(f"{line.a_text} {line.b_text}")
+             for line in poem.lines]
+    edges = [0]
+    for text in texts:
+        edges.append(edges[-1] + (len(text) + 1 if text else 0))
+    return " " + "".join(text + " " for text in texts if text), edges
 
 
-def ngram_counts(text: str, n: int) -> Counter[str]:
-    """Counts over the padded normalized stream " <text> "."""
-    return _stream_counts(normalize_text(text), n)
+def _stream_ranks(stream: str, rank: np.ndarray) -> np.ndarray:
+    """``rank`` of the code point of each character of ``stream``."""
+    return rank[np.frombuffer(stream.encode("utf-32-le", "surrogatepass"),
+                              dtype="<u4")]
 
 
-def _window_text(corpus: Corpus, sample: SampleWindow) -> str:
-    poem = corpus.poem(sample.source)
-    pieces = []
-    for index in range(sample.first_line, sample.last_line + 1):
-        line = poem.line(index)
-        pieces.append(line.a_text)
-        if line.b_text:
-            pieces.append(line.b_text)
-    return " ".join(pieces)
+def _fold(columns: Sequence[np.ndarray], radix: int) -> np.ndarray:
+    """int64 codes of grams given the character ranks of each gram column.
+
+    Folding in base ``radix`` keeps the lexicographic order of same-length
+    grams.  Codes about to pass 2**63 are first re-ranked densely among
+    themselves, which keeps their order but makes them comparable only with
+    codes folded in the same call.
+    """
+    codes = columns[0].astype(np.int64)
+    for column in columns[1:]:
+        if int(codes.max()) * radix + radix - 1 >= 2 ** 63:
+            codes = np.unique(codes, return_inverse=True)[1]
+        codes *= radix
+        codes += column
+    return codes
+
+
+def _gram_codes(ranks: np.ndarray, n: int, radix: int) -> np.ndarray:
+    """Codes of every n-gram start in one stream, given its character ranks."""
+    size = ranks.size - n + 1
+    return _fold([ranks[j:j + size] for j in range(n)], radix)
+
+
+def _poem_grams(stream: str, rank: np.ndarray, radix: int, n: int,
+                starts: np.ndarray, ends: np.ndarray):
+    """One poem's distinct grams and their totals over its windows.
+
+    Returns the grams' codes in gram order, a position of each, the ranks of
+    its characters there, and each gram's count summed over the windows
+    ``[starts, ends)``.
+    """
+    ranks = _stream_ranks(stream, rank)
+    codes = _gram_codes(ranks, n, radix)
+    order = np.argsort(codes)
+    codes.sort()
+    bounds = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    grams = codes[bounds]
+    where = order[bounds]
+    columns = ranks[where[:, None] + np.arange(n)]
+    del ranks, codes
+    # each position counts once per window that covers it
+    coverage = np.zeros(order.size + 1, dtype=np.int64)
+    np.add.at(coverage, starts, 1)
+    np.add.at(coverage, ends, -1)
+    np.cumsum(coverage, out=coverage)
+    # the arrays over all positions set the memory peak, so the coverage of
+    # each sorted position overwrites its index
+    np.take(coverage, order, out=order)
+    return grams, where, columns, np.add.reduceat(order, bounds)
+
+
+def _poem_counts(stream: str, rank: np.ndarray, radix: int, n: int,
+                 wanted: np.ndarray, feature: np.ndarray, features: int,
+                 starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """(features x windows) counts in one poem of the grams with the sorted
+    codes ``wanted``, whose feature ranks are ``feature``."""
+    codes = _gram_codes(_stream_ranks(stream, rank), n, radix)
+    size = codes.size
+    # the wanted code at or after each position's code, written in place;
+    # a code is never -1, so codes past the last wanted one match nothing
+    nearest = np.searchsorted(wanted, codes)
+    np.take(np.append(wanted, -1), nearest, out=nearest)
+    hits = np.flatnonzero(nearest == codes)
+    del nearest
+    # sorted (feature, position) keys: a window's count of a feature is the
+    # number of keys in one half-open range
+    keys = feature[np.searchsorted(wanted, codes[hits])] * size + hits
+    del codes
+    keys.sort()
+    base = np.arange(features)[:, None] * size
+    return (np.searchsorted(keys, base + ends)
+            - np.searchsorted(keys, base + starts))
 
 
 def build_profiles(
@@ -149,24 +232,68 @@ def build_profiles(
         raise AnalysisError(f"n must be in [2, 5], got {n}")
     if k < 1:
         raise AnalysisError(f"k must be at least 1, got {k}")
-    per_sample: list[Counter[str]] = []
-    for sample in samples:
-        normalized = normalize_text(_window_text(corpus, sample))
-        if len(normalized) < n:
+    if not samples:
+        return []
+    # every window is a [start, end) range of gram positions in the stream
+    # of its poem; poems are counted one at a time, which bounds the memory
+    # of a call by its largest poem
+    poems: dict[str, tuple[Poem, str, list[int], list[int]]] = {}
+    starts, ends = [], []
+    for index, sample in enumerate(samples):
+        if sample.source not in poems:
+            poem = corpus.poem(sample.source)
+            poems[sample.source] = (poem, *_poem_stream(poem), [])
+        poem, _, edges, members = poems[sample.source]
+        first, last = sample.first_line, sample.last_line
+        length = 0
+        if first <= last:
+            # the first line a line-by-line read would fail on
+            poem.line(first)
+            poem.line(min(last, poem.line_count + 1))
+            length = edges[last] - edges[first - 1] - 1
+        if length < n:
             raise AnalysisError(
                 f"sample {window_id(sample)}: normalized text shorter than {n}")
-        per_sample.append(_stream_counts(normalized, n))
-    totals: Counter[str] = Counter()
-    for counts in per_sample:
-        totals.update(counts)
-    features = tuple(sorted(totals, key=lambda g: (-totals[g], g))[:k])
-    profiles = []
-    for sample, counts in zip(samples, per_sample):
-        total = sum(counts.values())
-        values = tuple(counts.get(g, 0) / total for g in features)
-        profiles.append(NgramProfile(sample=sample, features=features,
-                                     values=values))
-    return profiles
+        starts.append(edges[first - 1])
+        ends.append(edges[last] + 2 - n)
+        members.append(index)
+    starts_at, ends_at = np.array(starts), np.array(ends)
+    streams = [(stream, members) for _, stream, _, members in poems.values()]
+    # each code point's rank in the sorted alphabet of the streams
+    alphabet = np.array(sorted(map(ord, set().union(*(s for s, _ in streams)))))
+    radix = alphabet.size
+    rank = np.zeros(alphabet[-1] + 1, dtype=np.int32)
+    rank[alphabet] = np.arange(radix)
+
+    grams, where, columns, totals = zip(*(
+        _poem_grams(stream, rank, radix, n, starts_at[members],
+                    ends_at[members])
+        for stream, members in streams))
+    # the poems' distinct grams folded together are comparable across poems
+    merged, first, gram_of = np.unique(
+        _fold(np.concatenate(columns).T, radix),
+        return_index=True, return_inverse=True)
+    total = np.bincount(gram_of, weights=np.concatenate(totals))
+    # grams outside every window total 0 and rank last
+    top = np.lexsort((merged, -total))[:min(k, np.count_nonzero(total))]
+    source = np.repeat(np.arange(len(streams)), [g.size for g in grams])
+    at = np.concatenate(where)
+    features = tuple(streams[source[i]][0][at[i]:at[i] + n]
+                     for i in first[top].tolist())
+
+    feature = np.full(merged.size, top.size)
+    feature[top] = np.arange(top.size)
+    counts = np.empty((top.size, len(samples)), dtype=np.int64)
+    cuts = np.cumsum([g.size for g in grams])[:-1]
+    for (stream, members), local, local_feature in zip(
+            streams, grams, np.split(feature[gram_of], cuts)):
+        wanted = local_feature < top.size
+        counts[:, members] = _poem_counts(
+            stream, rank, radix, n, local[wanted], local_feature[wanted],
+            top.size, starts_at[members], ends_at[members])
+    values = (counts / (ends_at - starts_at)).T.tolist()
+    return [NgramProfile(sample=sample, features=features, values=tuple(row))
+            for sample, row in zip(samples, values)]
 
 
 def cosine_distance_matrix(profiles: Sequence[NgramProfile]) -> DistanceMatrix:
@@ -303,16 +430,15 @@ def split_boundary_estimate(
     m = len(labels)
     if m < 2:
         raise AnalysisError("need at least two windows")
-    best = None
-    for cut in range(m + 1):
-        for head in (0, 1):
-            mismatches = sum(
-                1 for i, lab in enumerate(labels)
-                if lab != (head if i < cut else 1 - head))
-            key = (mismatches, cut)
-            if best is None or key < best:
-                best = key
-    _, cut = best
+    # is_zero[:cut] / is_one[:cut]: labels before each cut equal to 0 / 1
+    is_zero = np.concatenate(([0], np.cumsum(np.equal(labels, 0))))
+    is_one = np.concatenate(([0], np.cumsum(np.equal(labels, 1))))
+    cuts = np.arange(m + 1)
+    # head 0 expects 0 before the cut and 1 from it on; head 1 the reverse
+    head_zero = (cuts - is_zero) + (m - cuts) - (is_one[m] - is_one)
+    head_one = (cuts - is_one) + (m - cuts) - (is_zero[m] - is_zero)
+    # argmin takes the earliest cut among the fewest mismatches
+    cut = int(np.argmin(np.minimum(head_zero, head_one)))
     if cut == 0:
         return float(ordered[0].first_line)
     if cut == m:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AnalysisError
+from .errors import AnalysisError, InputError
 
 __all__ = [
     "TestResult",
@@ -497,7 +497,7 @@ def bootstrap_null_p(
     the chosen statistic, and reports ``(1 + #{stat >= observed}) / (B + 1)``.
     """
     if B < 1000:
-        raise ValueError("B must be at least 1000")
+        raise InputError("B must be at least 1000")
     if n_a + n_b != len(pooled_items):
         raise ValueError("n_a + n_b must equal the pooled item count")
     if n_a < 1 or n_b < 1:

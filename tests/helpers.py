@@ -14,11 +14,13 @@ from versemetry.metre import HALF_LABELS
 from versemetry.ngramcluster import (
     Dendrogram,
     DistanceMatrix,
+    NgramProfile,
     SweepCell,
     SweepResult,
     agglomerative_complete,
     build_profiles,
     cosine_distance_matrix,
+    normalize_text,
     top_two_assignment,
     window_id,
 )
@@ -122,10 +124,27 @@ def pool_text_poem(poem_id, n, pool_fn, seed=0, words_per_half=3, parts=None):
 def null_allocated_compound_corpus(multiplicities, weights, seed, stream=0):
     """Corpus whose compound annotations are drawn from the reallocation null.
 
-    Each type's occurrences are assigned to poems by one multinomial draw
-    with the given poem weights; tokens land on line 1 (line placement does
-    not affect shared-compound scoring).  Poem ids are p0, p1, ...
+    Each type's occurrences are assigned to poems by a multinomial draw with
+    the given poem weights, all types in one call; tokens land on line 1
+    (line placement does not affect shared-compound scoring).  Poem ids are
+    p0, p1, ...
     """
+    gen = RngStream(seed, stream).generator()
+    counts = gen.multinomial(np.asarray(multiplicities), weights)
+    types = [f"c{t:04d}" for t in range(len(multiplicities))]
+    poems = [
+        build_poem(f"p{p}", 2, compounds={1: tuple(
+            lemma for lemma, c in zip(types, column.tolist())
+            for _ in range(c))})
+        for p, column in enumerate(counts.T)
+    ]
+    return build_corpus(*poems)
+
+
+def per_type_null_allocated_compound_corpus(multiplicities, weights, seed,
+                                            stream=0):
+    """Reference for ``null_allocated_compound_corpus``: one multinomial
+    draw per type."""
     gen = RngStream(seed, stream).generator()
     per_poem = [[] for _ in weights]
     for t, m in enumerate(multiplicities):
@@ -262,6 +281,79 @@ def random_dendrogram(n, seed):
         merges.append((a, b, float(i + 1)))
     return Dendrogram(merges=tuple(merges),
                       leaves=tuple(f"s{i:04d}" for i in range(n)))
+
+
+def _padded_counts(normalized, n):
+    stream = f" {normalized} "
+    return Counter(stream[i:i + n] for i in range(len(stream) - n + 1))
+
+
+def counter_ngram_counts(text, n):
+    """Reference gram counts over the padded normalized stream " <text> "."""
+    return _padded_counts(normalize_text(text), n)
+
+
+def _window_text(corpus, sample):
+    poem = corpus.poem(sample.source)
+    pieces = []
+    for index in range(sample.first_line, sample.last_line + 1):
+        line = poem.line(index)
+        pieces.append(line.a_text)
+        if line.b_text:
+            pieces.append(line.b_text)
+    return " ".join(pieces)
+
+
+def counter_build_profiles(corpus, samples, n, k):
+    """Reference ``build_profiles``: one Counter of substrings per window."""
+    if not 2 <= n <= 5:
+        raise AnalysisError(f"n must be in [2, 5], got {n}")
+    if k < 1:
+        raise AnalysisError(f"k must be at least 1, got {k}")
+    per_sample = []
+    for sample in samples:
+        normalized = normalize_text(_window_text(corpus, sample))
+        if len(normalized) < n:
+            raise AnalysisError(
+                f"sample {window_id(sample)}: normalized text shorter than {n}")
+        per_sample.append(_padded_counts(normalized, n))
+    totals = Counter()
+    for counts in per_sample:
+        totals.update(counts)
+    features = tuple(sorted(totals, key=lambda g: (-totals[g], g))[:k])
+    profiles = []
+    for sample, counts in zip(samples, per_sample):
+        total = sum(counts.values())
+        values = tuple(counts.get(g, 0) / total for g in features)
+        profiles.append(NgramProfile(sample=sample, features=features,
+                                     values=values))
+    return profiles
+
+
+def loop_split_boundary_estimate(samples, assignment):
+    """Reference ``split_boundary_estimate``: counts the mismatches of every
+    (cut, head) step function directly."""
+    ordered = sorted(samples, key=lambda s: s.first_line)
+    labels = [assignment[window_id(s)] for s in ordered]
+    centers = [(s.first_line + s.last_line) / 2 for s in ordered]
+    m = len(labels)
+    if m < 2:
+        raise AnalysisError("need at least two windows")
+    best = None
+    for cut in range(m + 1):
+        for head in (0, 1):
+            mismatches = sum(
+                1 for i, lab in enumerate(labels)
+                if lab != (head if i < cut else 1 - head))
+            key = (mismatches, cut)
+            if best is None or key < best:
+                best = key
+    _, cut = best
+    if cut == 0:
+        return float(ordered[0].first_line)
+    if cut == m:
+        return float(ordered[-1].last_line)
+    return (centers[cut - 1] + centers[cut]) / 2
 
 
 def per_char_normalize_text(text):

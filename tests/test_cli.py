@@ -20,6 +20,7 @@ from helpers import (
     pool_text_poem,
     run_digests,
 )
+from versemetry import cli
 from versemetry.cli import build_parser, dispatch
 from versemetry.corpus import PartRange, Poem, VerseLine, parse_corpus, write_corpus
 from versemetry.stats import RngStream
@@ -130,6 +131,32 @@ def test_low_bootstrap_is_reported_not_raised(corpus_dir, tmp_path, capsys):
                      "--bootstrap", "10", "--out", str(tmp_path / "out")])
     assert code == 1
     assert "at least 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cluster", "dendrogram", "--width", "0"], "width must be at least 1"),
+    (["cluster", "sweep", "--poem", "alpha", "--k-values", "100:200:0"],
+     "bad integer list '100:200:0'"),
+], ids=["width-0", "k-step-0"])
+def test_invalid_parameter_is_one_error_line(corpus_dir, tmp_path, capsys,
+                                             argv, message):
+    code = dispatch(argv + ["--corpus", str(corpus_dir),
+                            "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and message in err[0]
+
+
+def test_program_error_propagates(corpus_dir, tmp_path, monkeypatch):
+    # a bare ValueError is a bug, not bad input: it must reach the traceback
+    def broken(*args, **kwargs):
+        raise ValueError("internal inconsistency")
+
+    monkeypatch.setattr(cli, "build_profiles", broken)
+    with pytest.raises(ValueError, match="internal inconsistency"):
+        dispatch(["cluster", "profiles", "--corpus", str(corpus_dir),
+                  "--out", str(tmp_path / "out")])
 
 
 # conversion -----------------------------------------------------------------

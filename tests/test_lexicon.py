@@ -26,6 +26,7 @@ from helpers import (
     build_poem,
     multinomial_null_shared_counts,
     null_allocated_compound_corpus,
+    per_type_null_allocated_compound_corpus,
 )
 
 THREE_POEM_COMPOUNDS = {
@@ -293,6 +294,17 @@ class TestSharedCompoundScores:
         assert len(zs) == 20 * 45
         assert abs(float(np.mean(zs))) < 0.1
         assert 0.85 < float(np.std(zs, ddof=1)) < 1.15
+
+    @pytest.mark.parametrize("stream", [0, 1, 999])
+    def test_null_corpus_matches_per_type_draws(self, stream):
+        # one multinomial call over all types gives the rows of one call per
+        # type, so the corpora criterion 7 scores are unchanged
+        multiplicities = [1] * 180 + [2] * 100 + [3] * 20 + [7, 0]
+        weights = [0.1] * 10
+        assert (null_allocated_compound_corpus(
+                    multiplicities, weights, seed=101, stream=stream)
+                == per_type_null_allocated_compound_corpus(
+                    multiplicities, weights, seed=101, stream=stream))
 
     def test_pair_score_fields_round_trip(self):
         score = PairScore("a", "b", 3, 1.5, 0.5, 3.0, 0.01)

@@ -1,5 +1,7 @@
 """N-gram profiles, cosine distances, complete-linkage clustering, sweep."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,6 @@ from versemetry.ngramcluster import (
     clustering_quality,
     cosine_distance_matrix,
     majority_part,
-    ngram_counts,
     normalize_text,
     robustness_sweep,
     split_boundary_estimate,
@@ -27,7 +28,8 @@ from versemetry.sensepause import PUNCTUATION_GLYPHS
 from versemetry.stats import RngStream
 
 from helpers import (brute_force_complete, build_corpus, build_poem,
-                     per_cell_sweep, per_char_normalize_text, pool_text_poem,
+                     counter_build_profiles, counter_ngram_counts,
+                     loop_split_boundary_estimate, per_cell_sweep, per_char_normalize_text, pool_text_poem,
                      random_distance_matrix, two_style_corpus)
 
 
@@ -70,8 +72,12 @@ class TestNormalization:
         assert normalize_text("‘g..st’ \"ond\"") == "g st ond"
 
     def test_bigrams_of_aaa(self):
-        counts = ngram_counts("aaa", 2)
+        counts = counter_ngram_counts("aaa", 2)
         assert counts == {" a": 1, "aa": 2, "a ": 1}
+        corpus = text_corpus("aaa")
+        (profile,) = build_profiles(corpus, one_line_windows(corpus), 2, 10)
+        assert profile.features == ("aa", " a", "a ")
+        assert profile.values == (2 / 4, 1 / 4, 1 / 4)
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=st.sampled_from(
@@ -127,6 +133,100 @@ class TestBuildProfiles:
             build_profiles(corpus, windows, 1, 5)
         with pytest.raises(AnalysisError, match="k must be at least 1"):
             build_profiles(corpus, windows, 2, 0)
+
+
+# Half-line pieces: non-ASCII letters whose lowercase is longer (İ), stays
+# put (ß) or depends on position (Σ, final at a word end), a lone surrogate,
+# tabs, spaces and some punctuation; plus halves that are empty or
+# punctuation only.
+PIECES = ["a", "b", "ab", "ß", "İ", "Σ", "ΛΟΓΟΣ", "σ", "æ", "Þ", "\ud834",
+          "\t", " ", "  ", "—", ",", "…"]
+words = st.lists(st.sampled_from(PIECES), max_size=8).map("".join)
+half_lines = st.one_of(
+    st.just(""),
+    st.lists(st.sampled_from(sorted(PUNCTUATION_GLYPHS)), min_size=1,
+             max_size=3).map("".join),
+    words, words, words,
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def windowed_corpora(draw):
+    """One to three poems and rolling windows over each, concatenated."""
+    poems, windows = [], []
+    for index in range(draw(st.integers(1, 3))):
+        halves = draw(st.lists(st.tuples(half_lines, half_lines),
+                               min_size=1, max_size=10))
+        poem = build_poem(f"p{index}", len(halves),
+                          text_fn=lambda i, h=halves: h[i - 1])
+        width = draw(st.integers(1, len(halves)))
+        step = draw(st.integers(1, width + 3))
+        poems.append(poem)
+        windows += rolling_windows(poem, width, step)
+    return build_corpus(*poems), windows
+
+
+def outcome(build, corpus, windows, n, k):
+    try:
+        return build(corpus, windows, n, k)
+    except AnalysisError as exc:
+        return type(exc), str(exc)
+
+
+class TestBuildProfilesMatchesCounterReference:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus_windows=windowed_corpora(), n=st.integers(2, 5),
+           k=st.one_of(st.integers(1, 40), st.just(10 ** 6)))
+    def test_features_values_and_errors_identical(self, corpus_windows, n, k):
+        corpus, windows = corpus_windows
+        assert (outcome(build_profiles, corpus, windows, n, k)
+                == outcome(counter_build_profiles, corpus, windows, n, k))
+
+    def test_first_empty_window_named(self):
+        texts = {1: ("seft ond", "swegl"), 2: ("?!", ""), 3: ("\t", "…"),
+                 4: ("wudu", "")}
+        poem = build_poem("p", 4, text_fn=texts.get)
+        windows = rolling_windows(poem, 1, 1)
+        corpus = build_corpus(poem)
+        expected = (AnalysisError, "sample p:2-2: normalized text shorter than 2")
+        assert outcome(counter_build_profiles, corpus, windows, 2, 5) == expected
+        assert outcome(build_profiles, corpus, windows, 2, 5) == expected
+
+    @pytest.mark.parametrize("first,last", [(0, 2), (3, 9), (7, 8), (3, 2)])
+    def test_bad_line_ranges_fail_like_the_reference(self, first, last):
+        poem = build_poem("p", 4)
+        corpus = build_corpus(poem)
+        windows = [SampleWindow("p", 1, 2), SampleWindow("p", first, last)]
+        with pytest.raises(Exception) as reference:
+            counter_build_profiles(corpus, windows, 2, 5)
+        with pytest.raises(type(reference.value),
+                           match=re.escape(str(reference.value))):
+            build_profiles(corpus, windows, 2, 5)
+
+    def test_large_alphabet_re_ranks_codes(self):
+        # 6300 distinct characters: 6300**5 passes 2**63, so five-gram codes
+        # are re-ranked before the last fold, within each poem and again when
+        # the poems' grams are merged
+        chars = [chr(0x4E00 + i) for i in range(6300)]
+        assert len(chars) ** 5 >= 2 ** 63
+        gen = RngStream(17).generator()
+        poems = []
+        for index, (low, high) in enumerate([(0, 6300), (3000, 6300)]):
+            halves = []
+            for _ in range(60):
+                words = ["".join(chars[j] for j in gen.integers(low, high, 8))
+                         for _ in range(4)]
+                halves.append((" ".join(words[:2]), " ".join(words[2:])))
+            halves += [("".join(chars[i:i + 90]), "")
+                       for i in range(low, high, 90)]
+            poems.append(build_poem(f"big{index}", len(halves),
+                                    text_fn=lambda i, h=halves: h[i - 1]))
+        corpus = build_corpus(*poems)
+        windows = [w for poem in poems for w in rolling_windows(poem, 20, 7)]
+        for k in (1, 50, 10 ** 6):
+            assert (build_profiles(corpus, windows, 5, k)
+                    == counter_build_profiles(corpus, windows, 5, k))
 
 
 class TestCosineDistance:
@@ -295,6 +395,31 @@ class TestTwoStyleRecovery:
         (window,) = rolling_windows(poem, 400, 400)
         with pytest.raises(AnalysisError, match="at least two windows"):
             split_boundary_estimate([window], {window_id(window): 0})
+
+
+class TestSplitBoundaryEstimate:
+    @staticmethod
+    def labelled_windows(labels):
+        windows = [SampleWindow("p", 1 + 7 * i, 30 + 7 * i)
+                   for i in range(len(labels))]
+        # input order must not matter: the estimate sorts by first line
+        return windows[::-1], {window_id(w): lab
+                               for w, lab in zip(windows, labels)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=2, max_size=40))
+    def test_matches_loop_reference(self, labels):
+        windows, assignment = self.labelled_windows(labels)
+        assert (split_boundary_estimate(windows, assignment)
+                == loop_split_boundary_estimate(windows, assignment))
+
+    @pytest.mark.parametrize("labels", [
+        [0, 0], [1, 1], [0, 1], [1, 0], [0] * 9, [1] * 9, [0, 1, 0, 1, 0, 1],
+    ])
+    def test_edge_sequences_match_loop_reference(self, labels):
+        windows, assignment = self.labelled_windows(labels)
+        assert (split_boundary_estimate(windows, assignment)
+                == loop_split_boundary_estimate(windows, assignment))
 
 
 class TestRobustnessSweep:
