@@ -46,6 +46,7 @@ from .metre import (
     FULL_LABELS,
     Granularity,
     HALF_LABELS,
+    check_split_line,
     cumulative_incidence_r,
     halves_independence_test,
     incidence_points,
@@ -340,6 +341,8 @@ def _write_rolling(out: Path, poem_id: str, rolling, granularity: str,
 def cmd_metre_rolling(args: argparse.Namespace, corpus: Corpus,
                       out: Path) -> None:
     poem = corpus.poem(args.poem)
+    if args.split_line is not None:
+        check_split_line(poem, args.split_line)
     rolling = rolling_pattern_proportions(
         poem, _granularity(args.granularity), args.width, args.step)
     _write_rolling(out, poem.id, rolling, args.granularity, args.split_line,

@@ -175,19 +175,20 @@ def _null_shared_counts(
     N: int,
     rng: RngStream,
 ) -> np.ndarray:
-    """Simulate the reallocation null; returns (N, P, P) shared-type counts.
+    """Simulate the reallocation null; returns (N, P(P-1)/2) shared counts.
 
-    Entry ``[t, i, j]`` counts the types present in both poems i and j in
-    trial t, so the diagonal counts the types present in each poem.  Only
-    types with two or more occurrences are simulated, in ascending
-    multiplicity: each trial draws one uniform per occurrence, and
-    ``searchsorted`` on the cumulative weights turns it into a poem index
-    (a categorical draw).  A float32 one-hot presence tensor (trial, type,
-    poem) gives the shared counts as a batched matmul, whose sums are exact
-    while there are fewer than 2**24 types.
+    Entry ``[t, k]`` counts the types present in both poems of pair k in
+    trial t, pairs in ``np.triu_indices(P, 1)`` order.  Only types with two
+    or more occurrences are simulated, in ascending multiplicity: each trial
+    draws one uniform per occurrence, and ``searchsorted`` on the cumulative
+    weights turns it into a poem index (a categorical draw).  A float32
+    one-hot presence tensor (trial, type, poem) gives each block's shared
+    counts as a batched matmul, whose sums are exact while there are fewer
+    than 2**24 types.
     """
     P = weights.size
-    shared = np.zeros((N, P, P), dtype=np.int64)
+    first, second = np.triu_indices(P, 1)
+    shared = np.zeros((N, first.size), dtype=np.int32)
     mults = sorted(m for m in multiplicities if m >= 2)
     types = len(mults)
     # column j of a trial's draws is an occurrence of type occurrence_type[j]
@@ -205,7 +206,8 @@ def _null_shared_counts(
         flat += row_offset[:n]
         presence = np.zeros((n, types, P), dtype=np.float32)
         presence.reshape(-1)[flat] = 1
-        shared[start:start + n] = presence.transpose(0, 2, 1) @ presence
+        both = presence.transpose(0, 2, 1) @ presence
+        shared[start:start + n] = both[:, first, second]
     return shared
 
 
@@ -217,7 +219,8 @@ def shared_compound_scores(
 ) -> list[PairScore]:
     """Observed vs null shared-compound-type scores for every poem pair.
 
-    Poems without compound tokens are excluded with a warning.  The result
+    Poems without compound tokens are excluded with a warning; an id that
+    names no poem raises the corpus's ``CorpusError``.  The result
     covers unordered pairs (a before b in the input order); the underlying
     relation is symmetric and diagonals are never reported.
     """
@@ -229,7 +232,8 @@ def shared_compound_scores(
     ids = list(poems) if poems is not None else [p.id for p in corpus.poems]
     kept = []
     for pid in ids:
-        if index.totals.get(pid, 0) == 0:
+        corpus.poem(pid)  # an id that names no poem is an error
+        if index.totals[pid] == 0:
             warnings.warn(f"poem {pid} has no compound tokens; excluded")
         else:
             kept.append(pid)
@@ -254,22 +258,21 @@ def shared_compound_scores(
             for j_idx in range(i_idx + 1, len(present)):
                 observed[present[i_idx], present[j_idx]] += 1
 
+    first, second = np.triu_indices(len(kept), 1)
     scores = []
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            null_ij = shared_null[:, i, j]
-            mean = float(null_ij.mean())
-            sd = float(null_ij.std(ddof=1))
-            obs = int(observed[i, j])
-            if sd > 0:
-                z = (obs - mean) / sd
-            elif obs == mean:
-                z = 0.0
-            else:
-                z = math.copysign(math.inf, obs - mean)
-            tail = float(np.count_nonzero(null_ij >= obs)) / N
-            scores.append(PairScore(
-                poem_a=kept[i], poem_b=kept[j], observed_shared=obs,
-                null_mean=mean, null_sd=sd, z=z, empirical_tail=tail,
-            ))
+    for null_ij, i, j in zip(shared_null.T, first, second):
+        mean = float(null_ij.mean())
+        sd = float(null_ij.std(ddof=1))
+        obs = int(observed[i, j])
+        if sd > 0:
+            z = (obs - mean) / sd
+        elif obs == mean:
+            z = 0.0
+        else:
+            z = math.copysign(math.inf, obs - mean)
+        tail = float(np.count_nonzero(null_ij >= obs)) / N
+        scores.append(PairScore(
+            poem_a=kept[i], poem_b=kept[j], observed_shared=obs,
+            null_mean=mean, null_sd=sd, z=z, empirical_tail=tail,
+        ))
     return scores

@@ -21,7 +21,6 @@ import numpy as np
 from .corpus import Poem
 from .errors import AnalysisError, InputError
 from .stats import (
-    BootstrapStat,
     LinearFit,
     RngStream,
     TestMethod,
@@ -47,6 +46,7 @@ __all__ = [
     "rolling_pattern_proportions",
     "incidence_points",
     "cumulative_incidence_r",
+    "check_split_line",
     "split_distribution_tests",
     "halves_independence_test",
 ]
@@ -268,6 +268,13 @@ def cumulative_incidence_r(poem: Poem, pattern: str,
     return ols_fit([x for x, _ in points], [y for _, y in points])
 
 
+def check_split_line(poem: Poem, split_line: int) -> None:
+    """Raise unless ``split_line`` leaves at least one line on each side."""
+    if not 1 <= split_line < poem.line_count:
+        raise AnalysisError(
+            f"split line {split_line} not strictly inside poem {poem.id}")
+
+
 def split_distribution_tests(
     poem: Poem,
     split_line: int = DEFAULT_SPLIT_LINE,
@@ -278,13 +285,13 @@ def split_distribution_tests(
 
     Four analytic results (homogeneity and goodness of fit at each
     granularity, before-section as the GOF reference) plus bootstrap
-    empirical p-values for the two full-line tests.  ``rng`` defaults to
-    RngStream(0); the bootstrap resamples full-line patterns at line level.
+    empirical p-values for the two full-line tests.  The bootstrap resamples
+    full-line patterns at line level; one set of replicates, drawn from
+    ``rng.substream(0)``, scores both statistics.  ``rng`` defaults to
+    RngStream(0).
     """
     _require_scansion(poem)
-    if not 1 <= split_line < poem.line_count:
-        raise AnalysisError(
-            f"split line {split_line} not strictly inside poem {poem.id}")
+    check_split_line(poem, split_line)
     if rng is None:
         rng = RngStream(0)
 
@@ -309,10 +316,8 @@ def split_distribution_tests(
 
     pooled = patterns_before + patterns_after
     n_b, n_a = len(patterns_before), len(patterns_after)
-    p_hom = bootstrap_null_p(pooled, n_b, n_a, full_hom.statistic,
-                             BootstrapStat.HOMOGENEITY, B, rng.substream(0))
-    p_gof = bootstrap_null_p(pooled, n_b, n_a, full_gof.statistic,
-                             BootstrapStat.GOF, B, rng.substream(1))
+    p_hom, p_gof = bootstrap_null_p(pooled, n_b, n_a, full_hom.statistic,
+                                    full_gof.statistic, B, rng.substream(0))
     boot_hom = TestResult(full_hom.statistic, None, p_hom,
                           TestMethod.BOOTSTRAP_EMPIRICAL, n_b + n_a)
     boot_gof = TestResult(full_gof.statistic, None, p_gof,

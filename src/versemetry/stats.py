@@ -2,11 +2,12 @@
 
 Implements ordinary least squares with Pearson correlation, the pooled-variance
 two-sample t-test, chi-square tests (homogeneity, goodness of fit,
-independence), and a seeded bootstrap for empirical p-values.  The underlying
-tail probabilities are computed from scratch via the regularized incomplete
-gamma and beta functions (series + continued-fraction expansions), with an
-accuracy contract of 1e-8 relative error against high-precision oracle tables
-shipped with the test suite.
+independence), and a seeded bootstrap for empirical p-values, in which one
+draw set scores both the homogeneity and the goodness-of-fit statistic.  The
+underlying tail probabilities are computed from scratch via the regularized
+incomplete gamma and beta functions (series + continued-fraction expansions),
+with an accuracy contract of 1e-8 relative error against high-precision oracle
+tables shipped with the test suite.
 
 All randomness flows through :class:`RngStream`, a thin wrapper over the
 counter-based Philox generator keyed by ``(seed, stream_id)``, so every Monte
@@ -29,7 +30,6 @@ __all__ = [
     "LinearFit",
     "RngStream",
     "TestMethod",
-    "BootstrapStat",
     "ols_fit",
     "pooled_t_test",
     "student_t_p",
@@ -433,11 +433,6 @@ def chi2_independence(table: Sequence[Sequence[int]]) -> TestResult:
 # Bootstrap machinery
 # --------------------------------------------------------------------------
 
-class BootstrapStat(Enum):
-    HOMOGENEITY = "homogeneity"
-    GOF = "gof"
-
-
 def _homogeneity_stats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a, b: (B, k) count matrices; returns (B,) Pearson statistics
     n_a = a.sum(axis=1, keepdims=True)
@@ -452,28 +447,22 @@ def _homogeneity_stats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gof_stats(ref: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    # Same merge rule as chi2_gof, applied per replicate row.
+    """Pearson GOF statistic of each ``obs`` row against its ``ref`` row.
+
+    Same merge rule as ``chi2_gof``: observed mass in cells the reference
+    row leaves empty moves to the row's first covered cell.  Every reference
+    row holds at least one item, so that cell exists.
+    """
+    covered = ref > 0
+    uncovered = np.where(covered, 0, obs).sum(axis=1)
+    obs = np.where(covered, obs, 0)
+    obs[np.arange(obs.shape[0]), covered.argmax(axis=1)] += uncovered
     n_ref = ref.sum(axis=1, keepdims=True)
     n_obs = obs.sum(axis=1, keepdims=True)
     expected = ref * (n_obs / n_ref)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(ref > 0, (obs - expected) ** 2 / expected, 0.0)
-    stats = terms.sum(axis=1)
-    bad_rows = np.nonzero(((ref == 0) & (obs > 0)).any(axis=1))[0]
-    for i in bad_rows:
-        r = ref[i].copy()
-        o = obs[i].astype(float).copy()
-        bad = (r == 0) & (o > 0)
-        nonzero = np.nonzero(r > 0)[0]
-        if nonzero.size == 0:
-            stats[i] = float("inf")
-            continue
-        o[nonzero[0]] += o[bad].sum()
-        o[bad] = 0.0
-        keep = r > 0
-        e = r[keep] / r[keep].sum() * o.sum()
-        stats[i] = float((((o[keep] - e) ** 2) / e).sum())
-    return stats
+        terms = np.where(covered, (obs - expected) ** 2 / expected, 0.0)
+    return terms.sum(axis=1)
 
 
 # Replicate rows per block when computing bootstrap statistics.
@@ -484,17 +473,21 @@ def bootstrap_null_p(
     pooled_items: Sequence,
     n_a: int,
     n_b: int,
-    observed_stat: float,
-    stat_kind: BootstrapStat,
+    observed_homogeneity: float,
+    observed_gof: float,
     B: int,
     rng: RngStream,
-) -> float:
-    """Empirical p-value under the null of one common source distribution.
+) -> tuple[float, float]:
+    """Empirical homogeneity and goodness-of-fit p-values under one null.
 
-    Each replicate resamples two groups of sizes ``n_a`` and ``n_b`` with
-    replacement from the pooled items (realized as multinomial draws over the
-    pooled category counts, which is distributionally identical), recomputes
-    the chosen statistic, and reports ``(1 + #{stat >= observed}) / (B + 1)``.
+    The null is one common source distribution.  Each replicate resamples two
+    groups of sizes ``n_a`` and ``n_b`` with replacement from the pooled
+    items (realized as multinomial draws over the pooled category counts,
+    which is distributionally identical): all ``B`` rows of group a are drawn
+    from ``rng.generator()`` first, then those of group b.  Both statistics
+    are scored on the same replicates, homogeneity of a against b and
+    goodness of fit of b against a as the reference, and each p-value is
+    ``(1 + #{stat >= observed}) / (B + 1)``.
     """
     if B < 1000:
         raise InputError("B must be at least 1000")
@@ -502,27 +495,19 @@ def bootstrap_null_p(
         raise ValueError("n_a + n_b must equal the pooled item count")
     if n_a < 1 or n_b < 1:
         raise ValueError("both group sizes must be positive")
-    categories = sorted(set(pooled_items))
-    index = {c: i for i, c in enumerate(categories)}
-    counts = np.zeros(len(categories), dtype=np.int64)
-    for item in pooled_items:
-        counts[index[item]] += 1
+    _, counts = np.unique(np.asarray(pooled_items), return_counts=True)
     probs = counts / counts.sum()
 
-    if stat_kind is BootstrapStat.HOMOGENEITY:
-        statistic = _homogeneity_stats
-    elif stat_kind is BootstrapStat.GOF:
-        statistic = _gof_stats
-    else:
-        raise ValueError(f"unknown bootstrap statistic: {stat_kind}")
     gen = rng.generator()
     sample_a = gen.multinomial(n_a, probs, size=B)
     sample_b = gen.multinomial(n_b, probs, size=B)
-    # Each replicate's statistic depends on its own row only, so row blocks
+    # Each replicate's statistics depend on its own row only, so row blocks
     # bound the float temporaries without changing any value.
-    exceed = 0
+    exceed_hom = exceed_gof = 0
     for start in range(0, B, _STAT_BLOCK):
-        rows = slice(start, start + _STAT_BLOCK)
-        exceed += int(np.count_nonzero(
-            statistic(sample_a[rows], sample_b[rows]) >= observed_stat))
-    return (1 + exceed) / (B + 1)
+        a = sample_a[start:start + _STAT_BLOCK]
+        b = sample_b[start:start + _STAT_BLOCK]
+        exceed_hom += int(np.count_nonzero(
+            _homogeneity_stats(a, b) >= observed_homogeneity))
+        exceed_gof += int(np.count_nonzero(_gof_stats(a, b) >= observed_gof))
+    return (1 + exceed_hom) / (B + 1), (1 + exceed_gof) / (B + 1)

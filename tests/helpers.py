@@ -25,7 +25,7 @@ from versemetry.ngramcluster import (
     window_id,
 )
 from versemetry.sensepause import PUNCTUATION_GLYPHS
-from versemetry.stats import RngStream, student_t_p
+from versemetry.stats import RngStream, _homogeneity_stats, student_t_p
 
 
 def build_poem(poem_id="p", n=10, parts=None, pattern_fn=None, text_fn=None,
@@ -164,7 +164,8 @@ def multinomial_null_shared_counts(multiplicities, weights, N, rng):
     The kernel ``lexicon._null_shared_counts`` replaced.  Types are grouped
     by multiplicity and every group, single-occurrence types included, takes
     an (N, c) multinomial draw; presence counts come from an int64 einsum.
-    Returns the (N, P, P) shared-type counts.
+    Returns the (N, P(P-1)/2) shared-type counts in ``np.triu_indices(P, 1)``
+    order, as the kernel does.
     """
     P = weights.size
     shared = np.zeros((N, P, P), dtype=np.int64)
@@ -174,7 +175,82 @@ def multinomial_null_shared_counts(multiplicities, weights, N, rng):
         if m >= 2:
             presence = (draws > 0).astype(np.int64)
             shared += np.einsum("ncp,ncq->npq", presence, presence)
+    first, second = np.triu_indices(P, 1)
+    return shared[:, first, second]
+
+
+def tensor_null_shared_counts(multiplicities, weights, N, rng):
+    """Reference for ``lexicon._null_shared_counts`` on the same draws.
+
+    It returns the full (N, P, P) int64 tensor, whose entry ``[t, i, j]``
+    counts the types present in both poems i and j in trial t and whose
+    diagonal counts the types present in each poem.  The kernel keeps only
+    the pairs above the diagonal.
+    """
+    P = weights.size
+    shared = np.zeros((N, P, P), dtype=np.int64)
+    mults = sorted(m for m in multiplicities if m >= 2)
+    occurrence_type = np.repeat(np.arange(len(mults)), mults)
+    cumw = np.cumsum(weights)
+    cumw[-1] = 1.0
+    gen = rng.generator()
+    for t in range(N):
+        poem = np.searchsorted(cumw, gen.random((1, occurrence_type.size)),
+                               side="right")[0]
+        presence = np.zeros((len(mults), P), dtype=np.int64)
+        presence[occurrence_type, poem] = 1
+        shared[t] = presence.T @ presence
     return shared
+
+
+def loop_gof_stats(ref, obs):
+    """Reference for ``stats._gof_stats``: the merge rule one row at a time.
+
+    Rows whose reference leaves an observed cell empty are compacted to the
+    covered cells, after their uncovered mass moves to the first of them.
+    """
+    n_ref = ref.sum(axis=1, keepdims=True)
+    n_obs = obs.sum(axis=1, keepdims=True)
+    expected = ref * (n_obs / n_ref)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(ref > 0, (obs - expected) ** 2 / expected, 0.0)
+    stats = terms.sum(axis=1)
+    bad_rows = np.nonzero(((ref == 0) & (obs > 0)).any(axis=1))[0]
+    for i in bad_rows:
+        r = ref[i].copy()
+        o = obs[i].astype(float).copy()
+        bad = (r == 0) & (o > 0)
+        nonzero = np.nonzero(r > 0)[0]
+        o[nonzero[0]] += o[bad].sum()
+        o[bad] = 0.0
+        keep = r > 0
+        e = r[keep] / r[keep].sum() * o.sum()
+        stats[i] = float((((o[keep] - e) ** 2) / e).sum())
+    return stats
+
+
+def two_draw_bootstrap_p(pooled_items, n_a, n_b, observed_homogeneity,
+                         observed_gof, B, rng):
+    """Reference for ``stats.bootstrap_null_p``, unblocked.
+
+    Draws all of group a, then all of group b, from ``rng.generator()``,
+    scores homogeneity with ``stats._homogeneity_stats`` and goodness of fit
+    with ``loop_gof_stats``, and returns ``(p_hom, p_gof)``.
+    """
+    categories = sorted(set(pooled_items))
+    index = {c: i for i, c in enumerate(categories)}
+    counts = np.zeros(len(categories), dtype=np.int64)
+    for item in pooled_items:
+        counts[index[item]] += 1
+    probs = counts / counts.sum()
+    gen = rng.generator()
+    sample_a = gen.multinomial(n_a, probs, size=B)
+    sample_b = gen.multinomial(n_b, probs, size=B)
+    exceed_hom = np.count_nonzero(
+        _homogeneity_stats(sample_a, sample_b) >= observed_homogeneity)
+    exceed_gof = np.count_nonzero(
+        loop_gof_stats(sample_a, sample_b) >= observed_gof)
+    return (1 + int(exceed_hom)) / (B + 1), (1 + int(exceed_gof)) / (B + 1)
 
 
 def write_simple_poem_files(root, poem_id, text_lines, scansion_rows=None,

@@ -118,6 +118,36 @@ def test_missing_corpus_is_analysis_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("poems", ["alpha,zzz", "alpha,beta,zzz"])
+def test_shared_unknown_poem_is_one_error_line(corpus_dir, tmp_path, capsys,
+                                               poems):
+    code = dispatch(["shared", "--corpus", str(corpus_dir), "--poems", poems,
+                     "--trials", "1000", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "'zzz'" in err[0]
+    assert not (tmp_path / "out" / "shared" / "pairs.csv").exists()
+
+
+@pytest.mark.parametrize("split_line", ["-5", "0", "700", "701"])
+def test_rolling_split_line_outside_poem(corpus_dir, tmp_path, capsys,
+                                         split_line):
+    # the same check and message as metre split-tests
+    code = dispatch(["metre", "rolling", "--corpus", str(corpus_dir),
+                     "--poem", "alpha", "--split-line", split_line,
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: split line {split_line} not strictly inside "
+                   "poem alpha"]
+    code = dispatch(["metre", "split-tests", "--corpus", str(corpus_dir),
+                     "--poem", "alpha", "--split-line", split_line,
+                     "--bootstrap", "1000", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == err
+
+
 def test_unknown_poem_is_analysis_error(corpus_dir, tmp_path, capsys):
     code = dispatch(["hapax", "fit", "--corpus", str(corpus_dir),
                      "--poem", "nonesuch", "--out", str(tmp_path / "out")])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from versemetry import lexicon
-from versemetry.errors import AnalysisError
+from versemetry.errors import AnalysisError, CorpusError
 from versemetry.lexicon import (
     PairScore,
     SegmentMode,
@@ -27,6 +27,7 @@ from helpers import (
     multinomial_null_shared_counts,
     null_allocated_compound_corpus,
     per_type_null_allocated_compound_corpus,
+    tensor_null_shared_counts,
 )
 
 THREE_POEM_COMPOUNDS = {
@@ -231,6 +232,12 @@ class TestSharedCompoundScores:
             scores = shared_compound_scores(corpus, N=1000, rng=RngStream(0))
         assert {(s.poem_a, s.poem_b) for s in scores} == {("A", "B")}
 
+    def test_unknown_poem_id_rejected(self):
+        # a misspelt id must not silently shrink the analysis to the rest
+        with pytest.raises(CorpusError, match="'p9'"):
+            shared_compound_scores(three_poem_corpus(),
+                                   poems=["p1", "p2", "p9"], N=1000)
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="at least 1000"):
             shared_compound_scores(identical_pair_corpus(), N=999)
@@ -358,29 +365,21 @@ class TestNullSharedCounts:
         _null_shared_counts, multinomial_null_shared_counts,
     ], ids=["categorical", "multinomial-reference"])
     def test_null_mean_matches_closed_form(self, kernel):
-        # A type of multiplicity m is present in poem i with probability
-        # 1 - (1-w_i)^m, and in both i and j with probability
-        # 1 - (1-w_i)^m - (1-w_j)^m + (1-w_i-w_j)^m.  The diagonal counts
-        # only the simulated types, those with m >= 2; a single-occurrence
-        # type adds 0 to every off-diagonal mean.
+        # A type of multiplicity m is in both poems i and j with probability
+        # 1 - (1-w_i)^m - (1-w_j)^m + (1-w_i-w_j)^m; a single-occurrence
+        # type adds 0.
         N = 4000
         shared = kernel(self.MULTIPLICITIES, self.WEIGHTS, N, RngStream(17))
-        assert shared.shape == (N, 3, 3)
+        assert shared.shape == (N, 3)
         w = self.WEIGHTS
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    expect = sum(1 - (1 - w[i]) ** m
-                                 for m in self.MULTIPLICITIES if m >= 2)
-                else:
-                    expect = sum(
-                        1 - (1 - w[i]) ** m - (1 - w[j]) ** m
-                        + (1 - w[i] - w[j]) ** m
-                        for m in self.MULTIPLICITIES)
-                values = shared[:, i, j]
-                se = values.std(ddof=1) / math.sqrt(N)
-                assert se > 0
-                assert abs(values.mean() - expect) < 4 * se, (i, j)
+        for k, (i, j) in enumerate(zip(*np.triu_indices(3, 1))):
+            expect = sum(
+                1 - (1 - w[i]) ** m - (1 - w[j]) ** m + (1 - w[i] - w[j]) ** m
+                for m in self.MULTIPLICITIES)
+            values = shared[:, k]
+            se = values.std(ddof=1) / math.sqrt(N)
+            assert se > 0
+            assert abs(values.mean() - expect) < 4 * se, (i, j)
 
     def test_result_independent_of_trial_block(self, monkeypatch):
         multiplicities = [1] * 30 + [2] * 20 + [3] * 7 + [5] * 4
@@ -392,10 +391,24 @@ class TestNullSharedCounts:
             monkeypatch.setattr(lexicon, "_TRIAL_BLOCK", block)
             assert np.array_equal(_null_shared_counts(*args), default)
 
-    def test_shared_symmetric_and_bounded(self):
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_pairs_are_the_tensor_above_its_diagonal(self, seed):
+        # the kernel keeps the int32 pairs of the full tensor, draw for draw
         multiplicities = [1] * 10 + [2] * 8 + [3] * 5 + [4] * 3
         weights = np.array([0.35, 0.3, 0.2, 0.1, 0.05])
         shared = _null_shared_counts(
+            multiplicities, weights, 300, RngStream(seed))
+        tensor = tensor_null_shared_counts(
+            multiplicities, weights, 300, RngStream(seed))
+        assert shared.dtype == np.int32
+        first, second = np.triu_indices(5, 1)
+        assert np.array_equal(shared, tensor[:, first, second])
+
+    def test_shared_symmetric_and_bounded(self):
+        # checked on the full tensor, whose pairs the kernel returns
+        multiplicities = [1] * 10 + [2] * 8 + [3] * 5 + [4] * 3
+        weights = np.array([0.35, 0.3, 0.2, 0.1, 0.05])
+        shared = tensor_null_shared_counts(
             multiplicities, weights, 1000, RngStream(4))
         types = sum(1 for m in multiplicities if m >= 2)
         assert np.array_equal(shared, shared.transpose(0, 2, 1))
@@ -407,21 +420,27 @@ class TestNullSharedCounts:
         assert np.all(diag.sum(axis=1) >= types)
         assert np.all(diag.sum(axis=1)
                       <= sum(m for m in multiplicities if m >= 2))
+        first, second = np.triu_indices(5, 1)
+        assert np.array_equal(
+            _null_shared_counts(multiplicities, weights, 1000, RngStream(4)),
+            shared[:, first, second])
 
     def test_diagonal_counts_types_present(self):
         # With two poems each type is in one or both, so the diagonals minus
         # the shared count give the number of simulated types exactly.
         multiplicities = [1] * 5 + [2] * 6 + [3] * 4
-        shared = _null_shared_counts(
-            multiplicities, np.array([0.6, 0.4]), 1000, RngStream(9))
+        weights = np.array([0.6, 0.4])
+        tensor = tensor_null_shared_counts(
+            multiplicities, weights, 1000, RngStream(9))
+        shared = _null_shared_counts(multiplicities, weights, 1000,
+                                     RngStream(9))
         assert np.all(
-            shared[:, 0, 0] + shared[:, 1, 1] - shared[:, 0, 1] == 10)
+            tensor[:, 0, 0] + tensor[:, 1, 1] - shared[:, 0] == 10)
         # all the mass on the first poem puts every type there alone
         shared = _null_shared_counts(
             multiplicities, np.array([1.0, 0.0, 0.0]), 1000, RngStream(9))
-        expect = np.zeros((3, 3), dtype=np.int64)
-        expect[0, 0] = 10
-        assert np.array_equal(shared, np.broadcast_to(expect, shared.shape))
+        assert shared.shape == (1000, 3)
+        assert not shared.any()
 
     @pytest.mark.parametrize("weights", [
         [1 / 3] * 3, [0.1] * 10, [0.7, 0.2, 0.1],
@@ -429,14 +448,17 @@ class TestNullSharedCounts:
     def test_largest_uniform_lands_on_last_poem(self, weights):
         # [0.1] * 10 and [0.7, 0.2, 0.1] sum to 1 - 2**-53 ([1/3] * 3 to
         # exactly 1); the largest uniform below 1 must still map to the last
-        # poem, not past it.
+        # poem, not past it, so no pair shares a type.  The reference tensor
+        # shows where the types land.
         weights = np.array(weights)
         P = weights.size
-        shared = _null_shared_counts(
-            [2, 2, 3], weights, 70, FixedUniforms(np.nextafter(1.0, 0.0)))
+        top = FixedUniforms(np.nextafter(1.0, 0.0))
+        shared = _null_shared_counts([2, 2, 3], weights, 70, top)
+        assert np.array_equal(shared, np.zeros((70, P * (P - 1) // 2)))
         expect = np.zeros((P, P), dtype=np.int64)
         expect[P - 1, P - 1] = 3
-        assert np.array_equal(shared, np.broadcast_to(expect, shared.shape))
+        tensor = tensor_null_shared_counts([2, 2, 3], weights, 70, top)
+        assert np.array_equal(tensor, np.broadcast_to(expect, tensor.shape))
 
     def test_seeded_scores_pinned(self):
         # Every null here has a positive sd, so a change to the null's draw

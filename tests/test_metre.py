@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import build_poem, drift_scansion_poem, iid_scansion_poem
+from helpers import (
+    build_poem,
+    drift_scansion_poem,
+    iid_scansion_poem,
+    split_change_scansion_poem,
+    two_draw_bootstrap_p,
+)
+from test_acceptance import SKEW_PROBS, criterion_8_corpus
 from versemetry.errors import AnalysisError
 from versemetry.metre import (
     DEFAULT_SPLIT_LINE,
@@ -281,6 +288,62 @@ def test_split_boot_p_close_to_analytic_on_iid_poem():
     table = split_distribution_tests(poem, 1200, B=5000, rng=RngStream(4))
     assert abs(table.full_homogeneity_boot.p_value
                - table.full_homogeneity.p_value) < 0.05
+
+
+def _criterion_8_poem(poem_id):
+    return criterion_8_corpus().poem(poem_id)
+
+
+# (poem, split line, replicates, seed) of the split tests the suite runs:
+# the CLI corpus (whose rare patterns leave some replicate references with
+# empty cells), the tests above, the first corpus of criteria 2 and 4,
+# criterion 5 and the criterion-8 report.
+SUITE_SPLITS = {
+    "cli-alpha": (lambda: iid_scansion_poem(
+        "alpha", 700, [0.3, 0.25, 0.2, 0.15, 0.1], seed=3), 350, 1000, 3),
+    "cli-report": (lambda: iid_scansion_poem(
+        "alpha", 700, [0.3, 0.25, 0.2, 0.15, 0.1], seed=3), 350, 1000, 7),
+    "uniform-3000": (lambda: iid_scansion_poem("p", 3000, UNIFORM, seed=5),
+                     2300, 1000, 1),
+    "uniform-1200": (lambda: iid_scansion_poem("p", 1200, UNIFORM, seed=6),
+                     600, 1000, 9),
+    "uniform-2000": (lambda: iid_scansion_poem("p", 2000, UNIFORM, seed=7),
+                     1400, 1000, 2),
+    "skewed-2400": (lambda: iid_scansion_poem(
+        "p", 2400, [0.3, 0.3, 0.2, 0.1, 0.1], seed=11), 1200, 5000, 4),
+    "criterion-2": (lambda: iid_scansion_poem("p0", 1000, SKEW_PROBS,
+                                              seed=400), 500, 20000, 500),
+    "criterion-4-null": (lambda: split_change_scansion_poem(
+        "n0", 2450, 2300, SKEW_PROBS, seed=1000), 2300, 5000, 0),
+    "criterion-4-change": (lambda: split_change_scansion_poem(
+        "a0", 2450, 2300, SKEW_PROBS, probs_after_a=[0.15, 0.25, 0.2, 0.15,
+                                                     0.25], seed=7000),
+        2300, 5000, 0),
+    "criterion-5-drift": (lambda: drift_scansion_poem("drift", 3000),
+                          2300, 5000, 0),
+    "criterion-8-epic-a": (lambda: _criterion_8_poem("epic-a"),
+                           2300, 20000, 7),
+    "criterion-8-epic-b": (lambda: _criterion_8_poem("epic-b"),
+                           2300, 20000, 7),
+}
+
+
+@pytest.mark.parametrize("case", list(SUITE_SPLITS))
+def test_split_boot_matches_two_draw_reference(case):
+    # the joint bootstrap gives the p-values of two unblocked draws scored
+    # by the row-loop merge, so the vectorised merge rule exceeds the
+    # chi2_gof statistic on exactly the same replicates
+    make_poem, split, B, seed = SUITE_SPLITS[case]
+    poem = make_poem()
+    table = split_distribution_tests(poem, split, B=B, rng=RngStream(seed))
+    before, _ = pair_full_lines(poem, 1, split)
+    after, _ = pair_full_lines(poem, split + 1)
+    want = two_draw_bootstrap_p(
+        before + after, len(before), len(after),
+        table.full_homogeneity.statistic, table.full_gof.statistic, B,
+        RngStream(seed).substream(0))
+    assert (table.full_homogeneity_boot.p_value,
+            table.full_gof_boot.p_value) == want
 
 
 # ---------------------------------------------------------------------------

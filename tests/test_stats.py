@@ -3,17 +3,23 @@
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import P_PRINT_TOLERANCE, REFERENCE_TUPLES, print_precision_preimage
+from helpers import (
+    P_PRINT_TOLERANCE,
+    REFERENCE_TUPLES,
+    loop_gof_stats,
+    print_precision_preimage,
+    two_draw_bootstrap_p,
+)
 from versemetry import stats
 from versemetry.errors import AnalysisError
 from versemetry.stats import (
-    BootstrapStat,
     LinearFit,
     RngStream,
     TestMethod,
@@ -330,18 +336,16 @@ def _pooled(counts_a, counts_b):
 
 def test_bootstrap_zero_observed_stat():
     items, n_a, n_b = _pooled([5, 5], [5, 5])
-    p = bootstrap_null_p(items, n_a, n_b, 0.0, BootstrapStat.HOMOGENEITY,
-                         1000, RngStream(3))
-    assert p == 1.0
+    assert bootstrap_null_p(items, n_a, n_b, 0.0, 0.0, 1000,
+                            RngStream(3)) == (1.0, 1.0)
 
 
 def test_bootstrap_deterministic():
     items, n_a, n_b = _pooled([41, 34], [34, 41])
-    obs = chi2_homogeneity([41, 34], [34, 41]).statistic
-    p1 = bootstrap_null_p(items, n_a, n_b, obs, BootstrapStat.HOMOGENEITY,
-                          2000, RngStream(11, 2))
-    p2 = bootstrap_null_p(items, n_a, n_b, obs, BootstrapStat.HOMOGENEITY,
-                          2000, RngStream(11, 2))
+    hom = chi2_homogeneity([41, 34], [34, 41]).statistic
+    gof = chi2_gof([34, 41], [41, 34]).statistic
+    p1 = bootstrap_null_p(items, n_a, n_b, hom, gof, 2000, RngStream(11, 2))
+    p2 = bootstrap_null_p(items, n_a, n_b, hom, gof, 2000, RngStream(11, 2))
     assert p1 == p2
 
 
@@ -351,9 +355,9 @@ def test_bootstrap_matches_analytic_2x2():
     analytic = chi2_homogeneity(counts_a, counts_b)
     assert 0.24 < analytic.p_value < 0.26
     items, n_a, n_b = _pooled(counts_a, counts_b)
-    p = bootstrap_null_p(items, n_a, n_b, analytic.statistic,
-                         BootstrapStat.HOMOGENEITY, 20000, RngStream(5))
-    assert abs(p - analytic.p_value) <= 0.02
+    p_hom, _ = bootstrap_null_p(items, n_a, n_b, analytic.statistic, 1.0,
+                                20000, RngStream(5))
+    assert abs(p_hom - analytic.p_value) <= 0.02
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -362,40 +366,134 @@ def test_bootstrap_converges_to_analytic_over_seeds(seed):
     analytic = chi2_homogeneity(counts_a, counts_b)
     assert 0.05 < analytic.p_value < 0.95
     items, n_a, n_b = _pooled(counts_a, counts_b)
-    p = bootstrap_null_p(items, n_a, n_b, analytic.statistic,
-                         BootstrapStat.HOMOGENEITY, 20000, RngStream(seed))
-    assert abs(p - analytic.p_value) <= 0.02
+    p_hom, _ = bootstrap_null_p(items, n_a, n_b, analytic.statistic, 1.0,
+                                20000, RngStream(seed))
+    assert abs(p_hom - analytic.p_value) <= 0.02
 
 
 def test_bootstrap_gof_statistic_runs():
     items, n_a, n_b = _pooled([50, 30, 20], [40, 35, 25])
-    p = bootstrap_null_p(items, n_a, n_b, 1.0, BootstrapStat.GOF,
-                         1000, RngStream(8))
-    assert 0.0 < p <= 1.0
+    _, p_gof = bootstrap_null_p(items, n_a, n_b, 1.0, 1.0, 1000, RngStream(8))
+    assert 0.0 < p_gof <= 1.0
 
 
-@pytest.mark.parametrize("kind", list(BootstrapStat))
-def test_bootstrap_p_independent_of_statistic_block(kind, monkeypatch):
+def test_bootstrap_p_independent_of_statistic_block(monkeypatch):
     # a rare category leaves some replicate rows with a zero reference
     # count, so the GOF merge rule runs inside the blocks too
     items, n_a, n_b = _pooled([40, 25, 9, 1], [30, 30, 12, 0])
     ps = set()
     for block in (1, 7, 1024, 5000):
         monkeypatch.setattr(stats, "_STAT_BLOCK", block)
-        ps.add(bootstrap_null_p(items, n_a, n_b, 3.0, kind, 3001,
+        ps.add(bootstrap_null_p(items, n_a, n_b, 3.0, 3.0, 3001,
                                 RngStream(12)))
     assert len(ps) == 1
+
+
+@pytest.mark.parametrize("counts_a, counts_b, seed", [
+    ([40, 25, 9, 1], [30, 30, 12, 0], 12),
+    ([50, 30, 20], [40, 35, 25], 8),
+    ([386, 364], [364, 386], 5),
+], ids=["rare", "three", "two"])
+def test_bootstrap_matches_two_draw_reference(counts_a, counts_b, seed):
+    # one draw set must give exactly the p-values of drawing both groups
+    # and scoring each statistic unblocked, GOF by the row-loop merge
+    items, n_a, n_b = _pooled(counts_a, counts_b)
+    hom = chi2_homogeneity(counts_a, counts_b).statistic
+    gof = chi2_gof(counts_b, counts_a).statistic
+    for rng in (RngStream(seed), RngStream(seed).substream(0)):
+        want = two_draw_bootstrap_p(items, n_a, n_b, hom, gof, 4001, rng)
+        assert bootstrap_null_p(items, n_a, n_b, hom, gof, 4001, rng) == want
+
+
+def _exact_gof(obs, ref):
+    # chi2_gof's merge rule in rational arithmetic
+    covered = [i for i, r in enumerate(ref) if r > 0]
+    o = [int(obs[i]) for i in covered]
+    o[0] += sum(int(x) for x, r in zip(obs, ref) if r == 0)
+    n_ref, n_obs = int(sum(ref)), int(sum(obs))
+    return sum(Fraction((x * n_ref - int(ref[i]) * n_obs) ** 2,
+                        int(ref[i]) * n_obs * n_ref)
+               for x, i in zip(o, covered))
+
+
+def test_gof_exceedance_differs_from_loop_only_at_exact_ties():
+    # Sparse counts make replicate statistics that equal the observed one
+    # exactly (1147/252 here), and floating-point sums put such a tie on
+    # either side of it.  Every other replicate must fall on the side its
+    # rational statistic puts it, for the vectorised merge and the row loop
+    # alike.
+    counts_a = [3, 0, 1, 0, 2, 9, 1, 1]
+    counts_b = [2, 1, 0, 1, 3, 7, 0, 0]
+    items, n_a, n_b = _pooled(counts_a, counts_b)
+    observed = _exact_gof(counts_b, counts_a)
+    gof = chi2_gof(counts_b, counts_a).statistic
+    gen = RngStream(4).generator()
+    probs = np.unique(items, return_counts=True)[1] / len(items)
+    a = gen.multinomial(n_a, probs, size=4001)
+    b = gen.multinomial(n_b, probs, size=4001)
+    exact = [_exact_gof(o, r) for r, o in zip(a, b)]
+    ties = np.array([x == observed for x in exact])
+    above = np.array([x > observed for x in exact])
+    assert ties.sum() > 1
+    for exceeds in (stats._gof_stats(a, b) >= gof, loop_gof_stats(a, b) >= gof):
+        assert np.array_equal(exceeds[~ties], above[~ties])
+
+
+def test_bootstrap_string_items_match_two_draw_reference():
+    # pattern labels are strings; np.unique orders them as sorted(set(...))
+    gen = RngStream(3).generator()
+    labels = [a + b for a in "ABCDE" for b in "ABCDE"]
+    pooled = [labels[i] for i in gen.choice(25, size=600, p=_rare_probs(25))]
+    want = two_draw_bootstrap_p(pooled, 450, 150, 20.0, 25.0, 2000,
+                                RngStream(9))
+    assert bootstrap_null_p(pooled, 450, 150, 20.0, 25.0, 2000,
+                            RngStream(9)) == want
 
 
 def test_bootstrap_rejects_small_B():
     items, n_a, n_b = _pooled([5, 5], [5, 5])
     with pytest.raises(ValueError):
-        bootstrap_null_p(items, n_a, n_b, 0.0, BootstrapStat.HOMOGENEITY,
-                         999, RngStream(1))
+        bootstrap_null_p(items, n_a, n_b, 0.0, 0.0, 999, RngStream(1))
 
 
 def test_bootstrap_rejects_inconsistent_sizes():
     items, n_a, n_b = _pooled([5, 5], [5, 5])
     with pytest.raises(ValueError):
-        bootstrap_null_p(items, n_a + 1, n_b, 0.0, BootstrapStat.HOMOGENEITY,
-                         1000, RngStream(1))
+        bootstrap_null_p(items, n_a + 1, n_b, 0.0, 0.0, 1000, RngStream(1))
+
+
+# ---------------------------------------------------------------------------
+# Vectorised GOF merge rule against the row loop
+# ---------------------------------------------------------------------------
+
+def _rare_probs(k):
+    # a few common categories and a long tail of rare ones
+    weights = np.concatenate([np.full(4, 20.0), np.geomspace(2.0, 0.02, k - 4)])
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize("n_ref, n_obs, seed", [
+    (150, 150, 1), (60, 400, 2), (40, 40, 3), (2300, 150, 4),
+])
+def test_gof_stats_matches_loop_reference(n_ref, n_obs, seed):
+    gen = RngStream(seed).generator()
+    probs = _rare_probs(25)
+    ref = gen.multinomial(n_ref, probs, size=3000)
+    obs = gen.multinomial(n_obs, probs, size=3000)
+    merged = ((ref == 0) & (obs > 0)).any(axis=1)
+    assert merged.sum() >= 100
+    got = stats._gof_stats(ref, obs)
+    want = loop_gof_stats(ref, obs)
+    assert np.array_equal(got[~merged], want[~merged])
+    np.testing.assert_allclose(got[merged], want[merged], rtol=1e-13, atol=0)
+
+
+def test_gof_stats_merges_into_first_covered_cell():
+    # row 0: cells 0 and 3 are empty in the reference, so their 5 observed
+    # items join cell 1, the first covered one
+    ref = np.array([[0, 4, 2, 0], [3, 3, 3, 3]])
+    obs = np.array([[2, 1, 1, 3], [1, 2, 3, 4]])
+    got = stats._gof_stats(ref, obs)
+    for row in range(2):
+        want = chi2_gof(obs[row], ref[row]).statistic
+        assert got[row] == pytest.approx(want, rel=1e-15)
