@@ -1,9 +1,10 @@
 """Command-line surface: conversion, analyses, figures, reproducible runs.
 
-Every analysis command writes its outputs under ``--out`` (default ``out/``)
-in a ``<command>/`` directory (``out/metre/`` for every ``metre``
-subcommand; ``report`` writes to ``--out`` itself) together with a
-``run.json`` manifest.  The manifest records exactly the parsed options of
+Every analysis command returns its outputs, and ``dispatch`` writes them
+under ``--out`` (default ``out/``) in a ``<command>/`` directory
+(``out/metre/`` for every ``metre`` subcommand; ``report`` writes to
+``--out`` itself) together with a ``run.json`` manifest.  A command that
+fails writes no files.  The manifest records exactly the parsed options of
 the command, apart from ``--corpus``, ``--out`` and ``--seed``; the seed
 separately; and SHA-256 hashes of every corpus input file, so a run can be
 reproduced exactly.  The output directory itself is not part of the
@@ -20,6 +21,7 @@ import csv
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -115,15 +117,12 @@ def _write_json(path: Path, payload, sort_keys: bool = True) -> None:
 
 def write_table(directory: Path, name: str, columns: Sequence[str],
                 rows: Iterable[Mapping[str, object]], fmt: str) -> None:
-    rows = list(rows)
+    path = directory / f"{name}.{fmt}"
     if fmt == "json":
-        payload = [{c: row.get(c) for c in columns} for row in rows]
-        _write_text(directory / f"{name}.json",
-                    json.dumps(payload, indent=2, sort_keys=True,
-                               ensure_ascii=False) + "\n")
+        _write_json(path, [{c: row.get(c) for c in columns} for row in rows])
         return
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / f"{name}.csv", "w", encoding="utf-8", newline="") as f:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -132,18 +131,8 @@ def write_table(directory: Path, name: str, columns: Sequence[str],
 
 def test_result_row(label: str, result: TestResult, **keys) -> dict:
     """One TEST_COLUMNS row, plus ``keys`` naming what was tested."""
-    return {
-        "test": label,
-        "method": result.method.value,
-        "statistic": result.statistic,
-        "df": result.df,
-        "p_value": result.p_value,
-        "n_obs": result.n_obs,
-        "min_expected": result.min_expected,
-        "dropped_categories": result.dropped_categories,
-        "merged_categories": result.merged_categories,
-        **keys,
-    }
+    row = {column: getattr(result, column) for column in TEST_COLUMNS[2:]}
+    return {**row, "test": label, "method": result.method.value, **keys}
 
 
 def _hash_file(path: Path) -> str:
@@ -168,8 +157,31 @@ def write_run_manifest(directory: Path, command: str, corpus_root: Path,
     })
 
 
-def _write_svg(directory: Path, name: str, spec: FigureSpec) -> None:
-    _write_text(directory / f"{name}.svg", render_figure(spec))
+def _rendered(outputs: Mapping[str, object]) -> dict[str, object]:
+    """``outputs`` with every figure rendered to its SVG text."""
+    return {name: render_figure(value) if isinstance(value, FigureSpec)
+            else value for name, value in outputs.items()}
+
+
+def write_outputs(directory: Path, outputs: Mapping[str, object],
+                  fmt: str) -> None:
+    """Write a command's outputs, keyed by file name, under ``directory``.
+
+    A ``(columns, rows)`` value is a table whose suffix ``fmt`` picks; a
+    ``FigureSpec`` or its SVG text is a figure; any other value is a JSON
+    payload.  Every figure is rendered before the first file is written, so
+    a figure that cannot be drawn leaves no file behind.  A JSON table whose
+    name a JSON payload already has is written as ``<name>-table.json``.
+    """
+    for name, value in _rendered(outputs).items():
+        if isinstance(value, str):
+            _write_text(directory / name, value)
+        elif isinstance(value, tuple):
+            taken = fmt == "json" and f"{name}.json" in outputs
+            write_table(directory, f"{name}-table" if taken else name,
+                        *value, fmt)
+        else:
+            _write_json(directory / name, value)
 
 
 # ------------------------------------------------------------ converters ----
@@ -271,21 +283,19 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------- analyses ----
 #
-# Each analysis command runs as ``cmd_*(args, corpus, out)``: ``dispatch`` has
-# already loaded the corpus and chosen ``out``, and writes ``run.json`` once
-# the command returns.  The row builders and writers below serve both the
-# subcommands and ``report``.
+# Each analysis command runs as ``cmd_*(args, corpus) -> outputs``, keyed by
+# file name (a table's name has no suffix: ``--format`` picks it).
+# ``dispatch`` loads the corpus, writes the outputs through ``write_outputs``
+# under the command's directory, then ``run.json``.  The row and output
+# builders below serve both the subcommands and ``report``.
 
 def _poem_ids(text: str | None) -> list[str] | None:
     return text.split(",") if text else None
 
 
 def _ratio_rows(reports) -> list[dict]:
-    return [
-        {"unit": r.unit_id, "intraline": r.intraline_count,
-         "final": r.final_count, "ratio": r.ratio}
-        for r in reports
-    ]
+    return [{"unit": r.unit_id, "intraline": r.intraline_count,
+             "final": r.final_count, "ratio": r.ratio} for r in reports]
 
 
 def _syllable_row(poem: Poem, part: str | None) -> dict:
@@ -295,8 +305,7 @@ def _syllable_row(poem: Poem, part: str | None) -> dict:
             "mean_syllables": mean_syllables_per_line(lines)}
 
 
-def cmd_sensepause(args: argparse.Namespace, corpus: Corpus,
-                   out: Path) -> None:
+def cmd_sensepause(args: argparse.Namespace, corpus: Corpus) -> dict:
     sides = ((corpus.poem(args.poem_a), args.part_a),
              (corpus.poem(args.poem_b), args.part_b))
     reports_a, reports_b = (
@@ -306,92 +315,85 @@ def cmd_sensepause(args: argparse.Namespace, corpus: Corpus,
                              count_hyphen=args.count_hyphen)
         for poem, part in sides)
     result = sample_ratio_comparison(reports_a, reports_b)
-    write_table(out, "ratios", RATIO_COLUMNS,
-                _ratio_rows(reports_a) + _ratio_rows(reports_b), args.format)
-    write_table(out, "ttest", TEST_COLUMNS,
-                [test_result_row("intraline_ratio_t", result)], args.format)
-    write_table(out, "syllables", SYLLABLE_COLUMNS,
-                [_syllable_row(poem, part) for poem, part in sides],
-                args.format)
+    return {
+        "ratios": (RATIO_COLUMNS,
+                   _ratio_rows(reports_a) + _ratio_rows(reports_b)),
+        "ttest": (TEST_COLUMNS,
+                  [test_result_row("intraline_ratio_t", result)]),
+        "syllables": (SYLLABLE_COLUMNS,
+                      [_syllable_row(poem, part) for poem, part in sides]),
+    }
 
 
 def _granularity(name: str) -> Granularity:
     return Granularity.HALF_LINE if name == "half" else Granularity.FULL_LINE
 
 
-def _write_rolling(out: Path, poem_id: str, rolling, granularity: str,
-                   split_line: int | None, fmt: str) -> None:
+def _rolling_outputs(poem_id: str, rolling, granularity: str,
+                     split_line: int | None) -> dict:
     """Rolling pattern proportions as a table and a stacked-area figure."""
     columns = ("start",) + tuple(rolling.series)
     rows = [dict(zip(columns, values))
             for values in zip(rolling.starts, *rolling.series.values())]
-    write_table(out, f"proportions-{poem_id}", columns, rows, fmt)
-    annotations = ()
-    if split_line is not None:
-        annotations = ((float(split_line), f"line {split_line}"),)
-    _write_svg(out, f"rolling-{poem_id}", FigureSpec(
-        kind=FigureKind.STACKED_AREA,
-        series=tuple((label, tuple(zip(rolling.starts, values)))
-                     for label, values in rolling.series.items()),
-        title=f"{poem_id}: rolling {granularity}-line proportions",
-        x_label="window start line", y_label="proportion",
-        annotations=annotations))
+    return {
+        f"proportions-{poem_id}": (columns, rows),
+        f"rolling-{poem_id}.svg": FigureSpec(
+            kind=FigureKind.STACKED_AREA,
+            series=tuple((label, tuple(zip(rolling.starts, values)))
+                         for label, values in rolling.series.items()),
+            title=f"{poem_id}: rolling {granularity}-line proportions",
+            x_label="window start line", y_label="proportion",
+            annotations=() if split_line is None
+            else ((float(split_line), f"line {split_line}"),)),
+    }
 
 
-def cmd_metre_rolling(args: argparse.Namespace, corpus: Corpus,
-                      out: Path) -> None:
+def cmd_metre_rolling(args: argparse.Namespace, corpus: Corpus) -> dict:
     poem = corpus.poem(args.poem)
     if args.split_line is not None:
         check_split_line(poem, args.split_line)
     rolling = rolling_pattern_proportions(
         poem, _granularity(args.granularity), args.width, args.step)
-    _write_rolling(out, poem.id, rolling, args.granularity, args.split_line,
-                   args.format)
+    return _rolling_outputs(poem.id, rolling, args.granularity,
+                            args.split_line)
 
 
-def _split_rows(table, poem_id: str) -> list[dict]:
-    return [
-        test_result_row(label, result, poem=poem_id,
-                        split_line=table.split_line)
-        for label, result in (
-            ("half_homogeneity", table.half_homogeneity),
-            ("half_gof", table.half_gof),
-            ("full_homogeneity", table.full_homogeneity),
-            ("full_gof", table.full_gof),
-            ("full_homogeneity_bootstrap", table.full_homogeneity_boot),
-            ("full_gof_bootstrap", table.full_gof_boot))
-    ]
+def _split_outputs(table, poem_id: str, suffix: str = "") -> dict:
+    """Split-test and pairing tables, named ``split-tests<suffix>`` and
+    ``pairing<suffix>``."""
+    tests = (("half_homogeneity", table.half_homogeneity),
+             ("half_gof", table.half_gof),
+             ("full_homogeneity", table.full_homogeneity),
+             ("full_gof", table.full_gof),
+             ("full_homogeneity_bootstrap", table.full_homogeneity_boot),
+             ("full_gof_bootstrap", table.full_gof_boot))
+    logs = (("before", table.log_before), ("after", table.log_after))
+    return {
+        f"split-tests{suffix}": (SPLIT_COLUMNS, [
+            test_result_row(label, result, poem=poem_id,
+                            split_line=table.split_line)
+            for label, result in tests]),
+        f"pairing{suffix}": (PAIRING_COLUMNS, [
+            {"poem": poem_id, "section": section, "paired": log.paired,
+             "skipped_missing_a": log.skipped_missing_a,
+             "skipped_missing_b": log.skipped_missing_b,
+             "misalignment_warnings": log.misalignment_warnings}
+            for section, log in logs]),
+    }
 
 
-def _pairing_rows(table, poem_id: str) -> list[dict]:
-    return [
-        {"poem": poem_id, "section": section, "paired": log.paired,
-         "skipped_missing_a": log.skipped_missing_a,
-         "skipped_missing_b": log.skipped_missing_b,
-         "misalignment_warnings": log.misalignment_warnings}
-        for section, log in (("before", table.log_before),
-                             ("after", table.log_after))
-    ]
-
-
-def cmd_metre_split_tests(args: argparse.Namespace, corpus: Corpus,
-                          out: Path) -> None:
+def cmd_metre_split_tests(args: argparse.Namespace, corpus: Corpus) -> dict:
     poem = corpus.poem(args.poem)
     table = split_distribution_tests(
         poem, args.split_line, B=args.bootstrap, rng=RngStream(args.seed))
-    write_table(out, f"split-tests-{poem.id}", SPLIT_COLUMNS,
-                _split_rows(table, poem.id), args.format)
-    write_table(out, f"pairing-{poem.id}", PAIRING_COLUMNS,
-                _pairing_rows(table, poem.id), args.format)
+    return _split_outputs(table, poem.id, f"-{poem.id}")
 
 
-def cmd_metre_independence(args: argparse.Namespace, corpus: Corpus,
-                           out: Path) -> None:
+def cmd_metre_independence(args: argparse.Namespace, corpus: Corpus) -> dict:
     poem = corpus.poem(args.poem)
     result = halves_independence_test(poem, args.first, args.last)
-    write_table(out, f"independence-{poem.id}", INDEPENDENCE_COLUMNS,
-                [test_result_row("halves_independence", result,
-                                 poem=poem.id)], args.format)
+    return {f"independence-{poem.id}": (INDEPENDENCE_COLUMNS, [
+        test_result_row("halves_independence", result, poem=poem.id)])}
 
 
 def _incidence_fit_row(poem_id: str, pattern: str, granularity: str,
@@ -401,52 +403,59 @@ def _incidence_fit_row(poem_id: str, pattern: str, granularity: str,
             "n": fit.n}
 
 
-def cmd_metre_incidence(args: argparse.Namespace, corpus: Corpus,
-                        out: Path) -> None:
+def cmd_metre_incidence(args: argparse.Namespace, corpus: Corpus) -> dict:
     poem = corpus.poem(args.poem)
     granularity = _granularity(args.granularity)
     points = incidence_points(poem, args.pattern, granularity)
     fit = cumulative_incidence_r(poem, args.pattern, granularity)
-    write_table(out, f"incidence-{poem.id}-{args.pattern}",
-                ("unit", "occurrence"),
-                [{"unit": x, "occurrence": y} for x, y in points], args.format)
-    write_table(out, f"incidence-fit-{poem.id}-{args.pattern}",
-                INCIDENCE_FIT_COLUMNS,
-                [_incidence_fit_row(poem.id, args.pattern, args.granularity,
-                                    fit)], args.format)
-    _write_svg(out, f"incidence-{poem.id}-{args.pattern}", FigureSpec(
-        kind=FigureKind.SCATTER_FIT,
-        series=((args.pattern, tuple((float(x), float(y)) for x, y in points)),),
-        title=f"{poem.id}: cumulative incidence of {args.pattern}",
-        x_label="unit index", y_label="occurrence number"))
+    name = f"{poem.id}-{args.pattern}"
+    return {
+        f"incidence-{name}": (("unit", "occurrence"),
+                              [{"unit": x, "occurrence": y}
+                               for x, y in points]),
+        f"incidence-fit-{name}": (INCIDENCE_FIT_COLUMNS, [_incidence_fit_row(
+            poem.id, args.pattern, args.granularity, fit)]),
+        f"incidence-{name}.svg": FigureSpec(
+            kind=FigureKind.SCATTER_FIT,
+            series=((args.pattern,
+                     tuple((float(x), float(y)) for x, y in points)),),
+            title=f"{poem.id}: cumulative incidence of {args.pattern}",
+            x_label="unit index", y_label="occurrence number"),
+    }
 
 
-def _fit_row(unit: str, first: int, last: int, series, fit) -> dict:
+def _fit_row(unit: str, first: int, last: int, n_hapax: int, fit) -> dict:
     return {"unit": unit, "first_line": first, "last_line": last,
             "slope_per100": fit.slope * 100.0, "intercept": fit.intercept,
-            "r": fit.r, "n_hapax": series[-1][1]}
+            "r": fit.r, "n_hapax": n_hapax}
 
 
-def _write_hapax_series(out: Path, poem_id: str, series, fmt: str) -> None:
-    """Cumulative hapax counts as a table and a scatter figure."""
-    write_table(out, f"series-{poem_id}", ("line", "cumulative"),
-                [{"line": x, "cumulative": y} for x, y in series], fmt)
-    _write_svg(out, f"hapax-{poem_id}", FigureSpec(
-        kind=FigureKind.SCATTER_FIT,
-        series=((poem_id, tuple((float(x), float(y)) for x, y in series)),),
-        title=f"{poem_id}: cumulative hapax compounds",
-        x_label="line", y_label="cumulative hapax count"))
+def _hapax_series_outputs(poem_id: str, series) -> dict:
+    """Cumulative hapax counts as a table and a scatter figure; the table's
+    rows, one per line, are built as they are written, since ``report``
+    holds every output until the run ends."""
+    return {
+        f"series-{poem_id}": (("line", "cumulative"),
+                              ({"line": x, "cumulative": y}
+                               for x, y in series)),
+        f"hapax-{poem_id}.svg": FigureSpec(
+            kind=FigureKind.SCATTER_FIT,
+            series=((poem_id,
+                     tuple((float(x), float(y)) for x, y in series)),),
+            title=f"{poem_id}: cumulative hapax compounds",
+            x_label="line", y_label="cumulative hapax count"),
+    }
 
 
-def cmd_hapax_fit(args: argparse.Namespace, corpus: Corpus, out: Path) -> None:
+def cmd_hapax_fit(args: argparse.Namespace, corpus: Corpus) -> dict:
     poem = corpus.poem(args.poem)
     index = build_compound_index(corpus)
     first = 1 if args.first is None else args.first
     last = poem.line_count if args.last is None else args.last
     series, fit = hapax_cumulative_fit(poem, index.hapax_set, first, last)
-    _write_hapax_series(out, poem.id, series, args.format)
-    write_table(out, f"fit-{poem.id}", FIT_COLUMNS,
-                [_fit_row(poem.id, first, last, series, fit)], args.format)
+    return {**_hapax_series_outputs(poem.id, series),
+            f"fit-{poem.id}": (FIT_COLUMNS, [
+                _fit_row(poem.id, first, last, series[-1][1], fit)])}
 
 
 def _parse_unit(corpus: Corpus, spec: str) -> tuple[Poem, int | None, int | None]:
@@ -463,8 +472,7 @@ def _parse_unit(corpus: Corpus, spec: str) -> tuple[Poem, int | None, int | None
         raise AnalysisError(f"bad unit spec {spec!r}: expected POEM[:FIRST-LAST]")
 
 
-def cmd_hapax_segments(args: argparse.Namespace, corpus: Corpus,
-                       out: Path) -> None:
+def cmd_hapax_segments(args: argparse.Namespace, corpus: Corpus) -> dict:
     index = build_compound_index(corpus)
     units = [_parse_unit(corpus, spec) for spec in args.units]
     mode = SegmentMode(args.mode)
@@ -473,33 +481,28 @@ def cmd_hapax_segments(args: argparse.Namespace, corpus: Corpus,
     for (poem, first, last), (series, fit) in zip(units, unit_fits):
         lo = 1 if first is None else first
         hi = poem.line_count if last is None else last
-        rows.append(_fit_row(f"{poem.id}:{lo}-{hi}", lo, hi, series, fit))
+        rows.append(_fit_row(f"{poem.id}:{lo}-{hi}", lo, hi, series[-1][1],
+                             fit))
     total_hapax = sum(row["n_hapax"] for row in rows)
     total_lines = sum(row["last_line"] - row["first_line"] + 1 for row in rows)
     combined_span = (1, total_lines) if mode is SegmentMode.MERGE else (
         min(r["first_line"] for r in rows), max(r["last_line"] for r in rows))
-    rows.append({"unit": "combined", "first_line": combined_span[0],
-                 "last_line": combined_span[1],
-                 "slope_per100": combined.slope * 100.0,
-                 "intercept": combined.intercept, "r": combined.r,
-                 "n_hapax": total_hapax})
-    write_table(out, f"segments-{args.mode}", FIT_COLUMNS, rows, args.format)
+    rows.append(_fit_row("combined", *combined_span, total_hapax, combined))
+    return {f"segments-{args.mode}": (FIT_COLUMNS, rows)}
 
 
 def _pair_rows(scores) -> list[dict]:
-    return [
-        {"poem_a": s.poem_a, "poem_b": s.poem_b,
-         "observed": s.observed_shared, "null_mean": s.null_mean,
-         "null_sd": s.null_sd, "z": s.z, "tail": s.empirical_tail}
-        for s in scores
-    ]
+    return [{"poem_a": s.poem_a, "poem_b": s.poem_b,
+             "observed": s.observed_shared, "null_mean": s.null_mean,
+             "null_sd": s.null_sd, "z": s.z, "tail": s.empirical_tail}
+            for s in scores]
 
 
-def cmd_shared(args: argparse.Namespace, corpus: Corpus, out: Path) -> None:
+def cmd_shared(args: argparse.Namespace, corpus: Corpus) -> dict:
     scores = shared_compound_scores(
         corpus, poems=_poem_ids(args.poems), N=args.trials,
         rng=RngStream(args.seed))
-    write_table(out, "pairs", PAIR_COLUMNS, _pair_rows(scores), args.format)
+    return {"pairs": (PAIR_COLUMNS, _pair_rows(scores))}
 
 
 def _cluster_windows(corpus: Corpus, poems: Sequence[str] | None,
@@ -522,41 +525,39 @@ def _dendrogram(corpus: Corpus, poems: Sequence[str] | None, width: int,
     return windows, dist, agglomerative_complete(dist)
 
 
-def _write_dendrogram(out: Path, windows, tree) -> None:
+def _dendrogram_outputs(windows, tree) -> dict:
     """The linkage tree as JSON and as a figure labelled by composition."""
-    _write_json(out / "dendrogram.json", {
-        "leaves": list(tree.leaves),
-        "merges": [[a, b, h] for a, b, h in tree.merges]})
     sublabels = tuple(
         "+".join(f"{name}:{count}" for name, count in w.composition.items())
         for w in windows)
-    _write_svg(out, "dendrogram", FigureSpec(
-        kind=FigureKind.DENDROGRAM,
-        series=(("tree", tree), ("sublabels", sublabels)),
-        title="complete-linkage dendrogram (cosine distance)",
-        y_label="cosine distance"))
+    return {
+        "dendrogram.json": {"leaves": list(tree.leaves),
+                            "merges": [[a, b, h] for a, b, h in tree.merges]},
+        "dendrogram.svg": FigureSpec(
+            kind=FigureKind.DENDROGRAM,
+            series=(("tree", tree), ("sublabels", sublabels)),
+            title="complete-linkage dendrogram (cosine distance)",
+            y_label="cosine distance"),
+    }
 
 
-def cmd_cluster_profiles(args: argparse.Namespace, corpus: Corpus,
-                         out: Path) -> None:
+def cmd_cluster_profiles(args: argparse.Namespace, corpus: Corpus) -> dict:
     windows = _cluster_windows(corpus, _poem_ids(args.poems), args.width,
                                args.step)
     profiles = build_profiles(corpus, windows, args.n, args.k)
     rows = [{"sample": window_id(p.sample), **dict(zip(p.features, p.values))}
             for p in profiles]
-    write_table(out, "features", ("sample",) + profiles[0].features, rows,
-                args.format)
+    return {"features": (("sample",) + profiles[0].features, rows)}
 
 
-def cmd_cluster_dendrogram(args: argparse.Namespace, corpus: Corpus,
-                           out: Path) -> None:
+def cmd_cluster_dendrogram(args: argparse.Namespace, corpus: Corpus) -> dict:
     windows, dist, tree = _dendrogram(corpus, _poem_ids(args.poems),
                                       args.width, args.step, args.n, args.k)
     rows = [{"sample": label,
              **dict(zip(dist.labels, (float(v) for v in dist.values[i])))}
             for i, label in enumerate(dist.labels)]
-    write_table(out, "distances", ("sample",) + dist.labels, rows, args.format)
-    _write_dendrogram(out, windows, tree)
+    return {"distances": (("sample",) + dist.labels, rows),
+            **_dendrogram_outputs(windows, tree)}
 
 
 def _int_list(text: str) -> list[int]:
@@ -570,201 +571,181 @@ def _int_list(text: str) -> list[int]:
                          "FIRST:LAST:STEP with STEP != 0, or A,B,...")
 
 
-def _write_sweep(out: Path, result, fmt: str) -> None:
+def _sweep_outputs(result) -> dict:
+    """Per-window assignments, a summary and a strip figure of the sweep."""
     rows = [
         {"n": cell.n, "k": cell.k, "sample": sample, "cluster": label}
         for cell in result.cells if cell.assignment is not None
         for sample, label in cell.assignment
     ]
-    write_table(out, "sweep", ("n", "k", "sample", "cluster"), rows, fmt)
-    _write_json(out / "sweep.json", {
-        "poem": result.poem,
-        "stability": result.stability,
-        "window_ids": list(result.window_ids),
-        "cells": [{"n": c.n, "k": c.k, "populated": c.assignment is not None}
-                  for c in result.cells],
-    })
-    strip_series = []
-    for cell in result.cells:
-        values = (tuple(label for _, label in cell.assignment)
-                  if cell.assignment is not None
-                  else tuple(None for _ in result.window_ids))
-        strip_series.append((f"n={cell.n} k={cell.k}", values))
-    _write_svg(out, "sweep", FigureSpec(
-        kind=FigureKind.SWEEP_STRIP, series=tuple(strip_series),
-        title=f"{result.poem}: top-two cluster sweep",
-        x_label="window (in line order)"))
+    strips = tuple(
+        (f"n={cell.n} k={cell.k}",
+         tuple(label for _, label in cell.assignment)
+         if cell.assignment is not None else (None,) * len(result.window_ids))
+        for cell in result.cells)
+    return {
+        "sweep": (("n", "k", "sample", "cluster"), rows),
+        "sweep.json": {
+            "poem": result.poem, "stability": result.stability,
+            "window_ids": list(result.window_ids),
+            "cells": [{"n": c.n, "k": c.k,
+                       "populated": c.assignment is not None}
+                      for c in result.cells]},
+        "sweep.svg": FigureSpec(
+            kind=FigureKind.SWEEP_STRIP, series=strips,
+            title=f"{result.poem}: top-two cluster sweep",
+            x_label="window (in line order)"),
+    }
 
 
-def cmd_cluster_sweep(args: argparse.Namespace, corpus: Corpus,
-                      out: Path) -> None:
-    result = robustness_sweep(
+def cmd_cluster_sweep(args: argparse.Namespace, corpus: Corpus) -> dict:
+    return _sweep_outputs(robustness_sweep(
         corpus, args.poem, n_values=_int_list(args.n_values),
-        k_values=_int_list(args.k_values), width=args.width, step=args.step)
-    _write_sweep(out, result, args.format)
+        k_values=_int_list(args.k_values), width=args.width, step=args.step))
 
 
 # ---------------------------------------------------------------- report ----
 
-def cmd_report(args: argparse.Namespace, corpus: Corpus, out: Path) -> None:
-    """Every analysis over the whole corpus into one tree under ``out``.
-
-    An analysis that cannot run on a poem or pair becomes a row of
-    ``report/skipped`` instead of an error.
-    """
-    fmt = args.format
-    skipped: list[dict] = []
-
-    def skip(analysis: str, unit: str, reason) -> None:
-        skipped.append({"analysis": analysis, "unit": unit,
-                        "reason": str(reason)})
-
-    def table(directory: str, name: str, columns, rows) -> None:
-        if rows:
-            write_table(out / directory, name, columns, rows, fmt)
-
-    # corpus summary
-    summary_rows = []
-    for poem in corpus.poems:
-        scanned = sum(1 for ln in poem.lines
-                      if ln.a_pattern is not None or ln.b_pattern is not None)
-        tokens = sum(len(ln.compounds) for ln in poem.lines)
-        summary_rows.append({
-            "poem": poem.id, "lines": poem.line_count,
+def _summary_row(poem: Poem) -> dict:
+    return {"poem": poem.id, "lines": poem.line_count,
             "parts": "+".join(p.name for p in poem.parts),
-            "scanned_lines": scanned, "compound_tokens": tokens,
-        })
-    write_table(out / "corpus", "summary",
-                ("poem", "lines", "parts", "scanned_lines", "compound_tokens"),
-                summary_rows, fmt)
+            "scanned_lines": sum(ln.a_pattern is not None
+                                 or ln.b_pattern is not None
+                                 for ln in poem.lines),
+            "compound_tokens": sum(len(ln.compounds) for ln in poem.lines)}
 
-    # sense pauses: every poem pair, 100-line samples classified once per poem;
-    # a poem's ratio rows follow its first pair whose t-test succeeded
+
+def _ttr_row(poem: Poem) -> dict:
+    ratio = type_token_ratio(poem)
+    tokens = sum(len(ln.compounds) for ln in poem.lines)
+    return {"poem": poem.id, "tokens": tokens,
+            "types": round(ratio * tokens) if ratio else 0, "ttr": ratio}
+
+
+def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
+    """Every analysis over the whole corpus, run as one list of steps.
+
+    A step is ``(analysis, unit, thunk)``; the thunk returns the step's
+    outputs, which go under the analysis's first word (``metre/``,
+    ``hapax/``, ...).  Tables of the same name collect rows across steps in
+    step order.  A step that raises ``AnalysisError``, in its figures too,
+    becomes a row of ``report/skipped`` and writes none of its files.
+    """
+    # corpus-wide tables: no analysis behind them can be skipped
+    outputs: dict[str, object] = {
+        "corpus/summary": (("poem", "lines", "parts", "scanned_lines",
+                            "compound_tokens"),
+                           [_summary_row(poem) for poem in corpus.poems]),
+        "sensepause/syllables": (SYLLABLE_COLUMNS, [
+            _syllable_row(poem, None) for poem in corpus.poems]),
+        "hapax/ttr": (("poem", "tokens", "types", "ttr"),
+                      [_ttr_row(poem) for poem in corpus.poems]),
+    }
+    # sense pauses: 100-line samples classified once per poem; a poem's ratio
+    # rows follow its first pair whose t-test succeeded
     reports = {poem.id: window_ratio_reports(poem, 100)
                for poem in corpus.poems}
-    tested: dict[str, None] = {}
-    ttest_rows = []
-    for i, poem_a in enumerate(corpus.poems):
-        for poem_b in corpus.poems[i + 1:]:
-            try:
-                result = sample_ratio_comparison(reports[poem_a.id],
-                                                 reports[poem_b.id])
-            except AnalysisError as exc:
-                skip("sensepause", f"{poem_a.id}/{poem_b.id}", exc)
-                continue
-            tested.update(dict.fromkeys((poem_a.id, poem_b.id)))
-            ttest_rows.append(test_result_row(
-                "intraline_ratio_t", result, poem_a=poem_a.id,
-                poem_b=poem_b.id))
-    table("sensepause", "ratios", RATIO_COLUMNS,
-          [row for pid in tested for row in _ratio_rows(reports[pid])])
-    table("sensepause", "ttests", ("poem_a", "poem_b") + TEST_COLUMNS,
-          ttest_rows)
-    write_table(out / "sensepause", "syllables", SYLLABLE_COLUMNS,
-                [_syllable_row(poem, None) for poem in corpus.poems], fmt)
-
-    # metre battery per scanned poem
-    split_rows, pairing_rows, independence_rows, incidence_rows = [], [], [], []
-    for poem in corpus.poems:
-        if all(ln.a_pattern is None and ln.b_pattern is None
-               for ln in poem.lines):
-            continue
-        splittable = 1 <= args.split_line < poem.line_count
-        if splittable:
-            try:
-                split = split_distribution_tests(
-                    poem, args.split_line, B=args.bootstrap,
-                    rng=RngStream(args.seed))
-                split_rows.extend(_split_rows(split, poem.id))
-                pairing_rows.extend(_pairing_rows(split, poem.id))
-            except AnalysisError as exc:
-                skip("metre split-tests", poem.id, exc)
-        else:
-            skip("metre split-tests", poem.id,
-                 f"split line {args.split_line} outside poem")
-        try:
-            _write_rolling(out / "metre", poem.id, rolling_pattern_proportions(
-                poem, Granularity.HALF_LINE, 200, 100), "half",
-                args.split_line if splittable else None, fmt)
-        except AnalysisError as exc:
-            skip("metre rolling", poem.id, exc)
-        try:
-            result = halves_independence_test(poem, None, None)
-            independence_rows.append(test_result_row(
-                "halves_independence", result, poem=poem.id))
-        except AnalysisError as exc:
-            skip("metre independence", poem.id, exc)
-        try:
-            counts = pattern_counts(poem, Granularity.FULL_LINE)
-            count, pattern = max(zip(counts.counts, counts.labels))
-            if count >= 2:
-                fit = cumulative_incidence_r(poem, pattern,
-                                             Granularity.FULL_LINE)
-                incidence_rows.append(
-                    _incidence_fit_row(poem.id, pattern, "full", fit))
-        except AnalysisError as exc:
-            skip("metre incidence-r", poem.id, exc)
-    table("metre", "split-tests", SPLIT_COLUMNS, split_rows)
-    table("metre", "pairing", PAIRING_COLUMNS, pairing_rows)
-    table("metre", "independence", INDEPENDENCE_COLUMNS, independence_rows)
-    table("metre", "incidence", INCIDENCE_FIT_COLUMNS, incidence_rows)
-
-    # hapax compounds and type-token ratios
+    tested: set[str] = set()
     index = build_compound_index(corpus)
-    fit_rows, ttr_rows = [], []
-    for poem in corpus.poems:
-        ratio = type_token_ratio(poem)
-        tokens = sum(len(ln.compounds) for ln in poem.lines)
-        ttr_rows.append({"poem": poem.id, "tokens": tokens,
-                         "types": round(ratio * tokens) if ratio else 0,
-                         "ttr": ratio})
-        try:
-            series, fit = hapax_cumulative_fit(poem, index.hapax_set)
-        except AnalysisError as exc:
-            skip("hapax fit", poem.id, exc)
-            continue
-        fit_rows.append(_fit_row(poem.id, 1, poem.line_count, series, fit))
-        _write_hapax_series(out / "hapax", poem.id, series, fmt)
-    table("hapax", "fits", FIT_COLUMNS, fit_rows)
-    write_table(out / "hapax", "ttr", ("poem", "tokens", "types", "ttr"),
-                ttr_rows, fmt)
-
-    # shared compounds
     compound_poems = [p.id for p in corpus.poems
                       if any(ln.compounds for ln in p.lines)]
-    if len(compound_poems) >= 2:
-        scores = shared_compound_scores(
-            corpus, poems=compound_poems, N=args.trials,
-            rng=RngStream(args.seed))
-        write_table(out / "shared", "pairs", PAIR_COLUMNS, _pair_rows(scores),
-                    fmt)
-    else:
-        skip("shared", ",".join(compound_poems) or "(none)",
-             "fewer than two poems with compound annotations")
+    sweep_target = max(corpus.poems, key=lambda p: (p.line_count, p.id))
 
-    # clustering across the corpus, sweep on the longest poem
-    try:
+    def ttest(poem_a: str, poem_b: str):
+        result = sample_ratio_comparison(reports[poem_a], reports[poem_b])
+        new = [pid for pid in (poem_a, poem_b) if pid not in tested]
+        tested.update(new)
+        rows = [row for pid in new for row in _ratio_rows(reports[pid])]
+        return {"ratios": (RATIO_COLUMNS, rows),
+                "ttests": (("poem_a", "poem_b") + TEST_COLUMNS, [
+                    test_result_row("intraline_ratio_t", result,
+                                    poem_a=poem_a, poem_b=poem_b)])}
+
+    def split_tests(poem: Poem):
+        if not 1 <= args.split_line < poem.line_count:
+            raise AnalysisError(f"split line {args.split_line} outside poem")
+        return _split_outputs(split_distribution_tests(
+            poem, args.split_line, B=args.bootstrap, rng=RngStream(args.seed)),
+            poem.id)
+
+    def rolling(poem: Poem):
+        marker = (args.split_line if 1 <= args.split_line < poem.line_count
+                  else None)
+        return _rolling_outputs(poem.id, rolling_pattern_proportions(
+            poem, Granularity.HALF_LINE, 200, 100), "half", marker)
+
+    def independence(poem: Poem):
+        result = halves_independence_test(poem, None, None)
+        return {"independence": (INDEPENDENCE_COLUMNS, [
+            test_result_row("halves_independence", result, poem=poem.id)])}
+
+    def incidence(poem: Poem):
+        counts = pattern_counts(poem, Granularity.FULL_LINE)
+        count, pattern = max(zip(counts.counts, counts.labels))
+        if count < 2:
+            return {}
+        fit = cumulative_incidence_r(poem, pattern, Granularity.FULL_LINE)
+        return {"incidence": (INCIDENCE_FIT_COLUMNS, [
+            _incidence_fit_row(poem.id, pattern, "full", fit)])}
+
+    def hapax_fit(poem: Poem):
+        series, fit = hapax_cumulative_fit(poem, index.hapax_set)
+        row = _fit_row(poem.id, 1, poem.line_count, series[-1][1], fit)
+        return {"fits": (FIT_COLUMNS, [row]),
+                **_hapax_series_outputs(poem.id, series)}
+
+    def shared():
+        if len(compound_poems) < 2:
+            raise AnalysisError(
+                "fewer than two poems with compound annotations")
+        return {"pairs": (PAIR_COLUMNS, _pair_rows(shared_compound_scores(
+            corpus, poems=compound_poems, N=args.trials,
+            rng=RngStream(args.seed))))}
+
+    def dendrogram():
         windows, _, tree = _dendrogram(corpus, None, 300, 100, 3, 500)
-        _write_dendrogram(out / "cluster", windows, tree)
         truth = {window_id(w): majority_part(w) for w in windows}
         purity, ari = clustering_quality(top_two_assignment(tree), truth)
-        _write_json(out / "cluster" / "quality.json",
-                    {"purity": purity, "adjusted_rand": ari})
-    except AnalysisError as exc:
-        skip("cluster dendrogram", "(corpus)", exc)
-    sweep_target = max(corpus.poems, key=lambda p: (p.line_count, p.id))
-    try:
+        return {**_dendrogram_outputs(windows, tree),
+                "quality.json": {"purity": purity, "adjusted_rand": ari}}
+
+    def sweep():
         # trimmed grid keeps the battery fast; the sweep subcommand runs the
         # full one
-        result = robustness_sweep(
+        return _sweep_outputs(robustness_sweep(
             corpus, sweep_target.id, n_values=[2, 3],
-            k_values=[100, 200, 300, 400, 500], width=300, step=100)
-        _write_sweep(out / "cluster", result, fmt)
-    except AnalysisError as exc:
-        skip("cluster sweep", sweep_target.id, exc)
+            k_values=[100, 200, 300, 400, 500], width=300, step=100))
 
-    write_table(out / "report", "skipped", ("analysis", "unit", "reason"),
-                skipped, fmt)
+    metre = {"split-tests": split_tests, "rolling": rolling,
+             "independence": independence, "incidence-r": incidence}
+    steps = [("sensepause", f"{a.id}/{b.id}", partial(ttest, a.id, b.id))
+             for i, a in enumerate(corpus.poems) for b in corpus.poems[i + 1:]]
+    steps += [(f"metre {name}", poem.id, partial(thunk, poem))
+              for poem in corpus.poems
+              if any(ln.a_pattern or ln.b_pattern for ln in poem.lines)
+              for name, thunk in metre.items()]
+    steps += [("hapax fit", poem.id, partial(hapax_fit, poem))
+              for poem in corpus.poems]
+    steps += [("shared", ",".join(compound_poems) or "(none)", shared),
+              ("cluster dendrogram", "(corpus)", dendrogram),
+              ("cluster sweep", sweep_target.id, sweep)]
+
+    skipped: list[dict] = []
+    for analysis, unit, thunk in steps:
+        try:
+            step = _rendered(thunk())
+        except AnalysisError as exc:
+            skipped.append({"analysis": analysis, "unit": unit,
+                            "reason": str(exc)})
+            continue
+        for name, value in step.items():
+            key = f"{analysis.split()[0]}/{name}"
+            if isinstance(value, tuple) and key in outputs:
+                outputs[key][1].extend(value[1])
+            else:
+                outputs[key] = value
+    outputs["report/skipped"] = (("analysis", "unit", "reason"), skipped)
+    return outputs
 
 
 # ---------------------------------------------------------------- parser ----
@@ -884,18 +865,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--width", type=int, default=300)
         p.add_argument("--step", type=int, default=100)
 
-    profiles = cluster_sub.add_parser("profiles", parents=[common, with_corpus])
-    add_cluster_params(profiles)
-    profiles.add_argument("--n", type=int, default=3)
-    profiles.add_argument("--k", type=int, default=500)
-    profiles.set_defaults(func=cmd_cluster_profiles)
-
-    dendro = cluster_sub.add_parser("dendrogram",
-                                    parents=[common, with_corpus])
-    add_cluster_params(dendro)
-    dendro.add_argument("--n", type=int, default=3)
-    dendro.add_argument("--k", type=int, default=500)
-    dendro.set_defaults(func=cmd_cluster_dendrogram)
+    for name, func in (("profiles", cmd_cluster_profiles),
+                       ("dendrogram", cmd_cluster_dendrogram)):
+        profiles = cluster_sub.add_parser(name, parents=[common, with_corpus])
+        add_cluster_params(profiles)
+        profiles.add_argument("--n", type=int, default=3)
+        profiles.add_argument("--k", type=int, default=500)
+        profiles.set_defaults(func=func)
 
     sweep = cluster_sub.add_parser("sweep", parents=[common, with_corpus])
     sweep.add_argument("--poem", required=True)
@@ -928,7 +904,7 @@ def dispatch(argv: Sequence[str]) -> int:
         root, out = Path(args.corpus), Path(args.out)
         if args.command != "report":
             out /= args.command
-        args.func(args, parse_corpus(root), out)
+        write_outputs(out, args.func(args, parse_corpus(root)), args.format)
         options = vars(args)
         command = " ".join(options[key] for key in ("command", "subcommand")
                            if key in options)

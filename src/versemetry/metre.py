@@ -145,52 +145,38 @@ def pair_full_lines(poem: Poem, first: int | None = None,
     return patterns, PairingLog(len(patterns), missing_a, missing_b, warnings)
 
 
+def _per_line_label_matrix(poem: Poem, granularity: Granularity) -> np.ndarray:
+    """(line_count, n_labels) matrix of label incidences per line.
+
+    Full-line column ``5 * a + b`` counts the lines whose halves are labels
+    ``a`` and ``b``, so a row sum reshaped to 5x5 is the (a, b) table.
+    """
+    code = {lab: i for i, lab in enumerate(HALF_LABELS)}
+    a = np.fromiter((code.get(ln.a_pattern, -1) for ln in poem.lines),
+                    np.int64, poem.line_count)
+    b = np.fromiter((code.get(ln.b_pattern, -1) for ln in poem.lines),
+                    np.int64, poem.line_count)
+    rows = np.arange(poem.line_count)
+    if granularity is Granularity.HALF_LINE:
+        m = np.zeros((poem.line_count, len(HALF_LABELS)), dtype=np.int64)
+        for half in (a, b):
+            m[rows[half >= 0], half[half >= 0]] += 1
+    else:
+        m = np.zeros((poem.line_count, len(FULL_LABELS)), dtype=np.int64)
+        both = (a >= 0) & (b >= 0)
+        m[rows[both], 5 * a[both] + b[both]] = 1
+    return m
+
+
 def pattern_counts(poem: Poem, granularity: Granularity,
                    first: int | None = None, last: int | None = None) -> PatternCounts:
     """Label counts over the fixed label order, zeros retained."""
     _require_scansion(poem)
     lo, hi = _resolve_range(poem, first, last)
-    if granularity is Granularity.HALF_LINE:
-        tally = dict.fromkeys(HALF_LABELS, 0)
-        for ln in poem.lines[lo - 1:hi]:
-            if ln.a_pattern is not None:
-                tally[ln.a_pattern] += 1
-            if ln.b_pattern is not None:
-                tally[ln.b_pattern] += 1
-        labels = HALF_LABELS
-    else:
-        patterns, _ = pair_full_lines(poem, lo, hi)
-        tally = dict.fromkeys(FULL_LABELS, 0)
-        for pat in patterns:
-            tally[pat] += 1
-        labels = FULL_LABELS
-    return PatternCounts(
-        granularity=granularity,
-        labels=labels,
-        counts=tuple(tally[lab] for lab in labels),
-        section=(lo, hi),
-    )
-
-
-def _per_line_label_matrix(poem: Poem, granularity: Granularity) -> np.ndarray:
-    """(line_count, n_labels) matrix of label incidences per line."""
-    if granularity is Granularity.HALF_LINE:
-        labels = HALF_LABELS
-        index = {lab: i for i, lab in enumerate(labels)}
-        m = np.zeros((poem.line_count, len(labels)), dtype=np.int64)
-        for row, ln in enumerate(poem.lines):
-            if ln.a_pattern is not None:
-                m[row, index[ln.a_pattern]] += 1
-            if ln.b_pattern is not None:
-                m[row, index[ln.b_pattern]] += 1
-    else:
-        labels = FULL_LABELS
-        index = {lab: i for i, lab in enumerate(labels)}
-        m = np.zeros((poem.line_count, len(labels)), dtype=np.int64)
-        for row, ln in enumerate(poem.lines):
-            if ln.a_pattern is not None and ln.b_pattern is not None:
-                m[row, index[ln.a_pattern + ln.b_pattern]] += 1
-    return m
+    counts = _per_line_label_matrix(poem, granularity)[lo - 1:hi].sum(axis=0)
+    labels = HALF_LABELS if granularity is Granularity.HALF_LINE else FULL_LABELS
+    return PatternCounts(granularity, labels, tuple(int(c) for c in counts),
+                         (lo, hi))
 
 
 def rolling_pattern_proportions(
@@ -295,22 +281,22 @@ def split_distribution_tests(
     if rng is None:
         rng = RngStream(0)
 
-    half_before = pattern_counts(poem, Granularity.HALF_LINE, 1, split_line)
-    half_after = pattern_counts(poem, Granularity.HALF_LINE, split_line + 1)
-    full_before = pattern_counts(poem, Granularity.FULL_LINE, 1, split_line)
-    full_after = pattern_counts(poem, Granularity.FULL_LINE, split_line + 1)
+    half, full = (_per_line_label_matrix(poem, granularity)
+                  for granularity in Granularity)
+    half_before, full_before = (m[:split_line].sum(axis=0) for m in (half, full))
+    half_after, full_after = (m[split_line:].sum(axis=0) for m in (half, full))
     patterns_before, log_before = pair_full_lines(poem, 1, split_line)
     patterns_after, log_after = pair_full_lines(poem, split_line + 1)
-    if half_before.total == 0 or half_after.total == 0:
+    if half_before.sum() == 0 or half_after.sum() == 0:
         raise AnalysisError("degenerate split: a section has no scanned halves")
     if not patterns_before or not patterns_after:
         raise AnalysisError("degenerate split: a section has no paired lines")
 
     try:
-        half_hom = chi2_homogeneity(half_before.counts, half_after.counts)
-        half_gof = chi2_gof(half_after.counts, half_before.counts)
-        full_hom = chi2_homogeneity(full_before.counts, full_after.counts)
-        full_gof = chi2_gof(full_after.counts, full_before.counts)
+        half_hom = chi2_homogeneity(half_before, half_after)
+        half_gof = chi2_gof(half_after, half_before)
+        full_hom = chi2_homogeneity(full_before, full_after)
+        full_gof = chi2_gof(full_after, full_before)
     except AnalysisError as exc:
         raise AnalysisError(f"degenerate split: {exc}")
 
@@ -338,11 +324,5 @@ def split_distribution_tests(
 def halves_independence_test(poem: Poem, first: int | None = None,
                              last: int | None = None) -> TestResult:
     """Chi-square independence of (a_pattern, b_pattern) over paired lines."""
-    _require_scansion(poem)
-    lo, hi = _resolve_range(poem, first, last)
-    index = {lab: i for i, lab in enumerate(HALF_LABELS)}
-    table = np.zeros((5, 5), dtype=np.int64)
-    for ln in poem.lines[lo - 1:hi]:
-        if ln.a_pattern is not None and ln.b_pattern is not None:
-            table[index[ln.a_pattern], index[ln.b_pattern]] += 1
-    return chi2_independence(table)
+    counts = pattern_counts(poem, Granularity.FULL_LINE, first, last).counts
+    return chi2_independence(np.reshape(counts, (5, 5)))

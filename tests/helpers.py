@@ -229,6 +229,24 @@ def loop_gof_stats(ref, obs):
     return stats
 
 
+def loop_label_tallies(poem, first, last):
+    """Reference for ``metre.pattern_counts`` and the independence table:
+    half-line, full-line and (a, b) tallies over lines ``first..last``, one
+    line at a time."""
+    half = dict.fromkeys(HALF_LABELS, 0)
+    full = {a + b: 0 for a in HALF_LABELS for b in HALF_LABELS}
+    table = np.zeros((5, 5), dtype=np.int64)
+    for ln in poem.lines[first - 1:last]:
+        for pattern in (ln.a_pattern, ln.b_pattern):
+            if pattern is not None:
+                half[pattern] += 1
+        if ln.a_pattern is not None and ln.b_pattern is not None:
+            full[ln.a_pattern + ln.b_pattern] += 1
+            table[HALF_LABELS.index(ln.a_pattern),
+                  HALF_LABELS.index(ln.b_pattern)] += 1
+    return tuple(half.values()), tuple(full.values()), table
+
+
 def two_draw_bootstrap_p(pooled_items, n_a, n_b, observed_homogeneity,
                          observed_gof, B, rng):
     """Reference for ``stats.bootstrap_null_p``, unblocked.
@@ -561,6 +579,8 @@ CLI_GOLDEN_CASES = {
                       "--n-values", "2,3", "--k-values", "100:200:100"],
     "report": ["report", "--seed", "7", "--bootstrap", "1000",
                "--split-line", "350"],
+    "report-json": ["report", "--seed", "7", "--bootstrap", "1000",
+                    "--split-line", "350", "--format", "json"],
 }
 CRITERION_8_ARGV = ["report", "--seed", "7"]
 

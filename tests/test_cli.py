@@ -19,6 +19,7 @@ from helpers import (
     iid_scansion_poem,
     pool_text_poem,
     run_digests,
+    tree_digests,
 )
 from versemetry import cli
 from versemetry.cli import build_parser, dispatch
@@ -458,6 +459,28 @@ def test_sweep_range_syntax(corpus_dir, tmp_path):
         (2, 100), (2, 200), (3, 100), (3, 200)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "sweep", "--poem", "alpha", "--n-values", "2,3",
+     "--k-values", "100:200:100"],
+    ["report", "--seed", "7", "--bootstrap", "1000", "--split-line", "350"],
+], ids=["cluster-sweep", "report"])
+def test_json_sweep_keeps_assignment_table(corpus_dir, tmp_path, argv):
+    """Under --format json the per-window sweep table and the sweep summary
+    are two files; the table holds the rows of the CSV run's sweep.csv."""
+    trees = {}
+    for fmt in ("csv", "json"):
+        trees[fmt] = tmp_path / fmt
+        assert dispatch([*argv, "--format", fmt, "--corpus", str(corpus_dir),
+                         "--out", str(trees[fmt])]) == 0
+    cluster = trees["json"] / "cluster"
+    summary = json.loads((cluster / "sweep.json").read_text())
+    assert set(summary) == {"poem", "stability", "window_ids", "cells"}
+    rows = json.loads((cluster / "sweep-table.json").read_text())
+    expected = read_csv(trees["csv"] / "cluster" / "sweep.csv")
+    assert expected
+    assert [{k: str(v) for k, v in row.items()} for row in rows] == expected
+
+
 # report ---------------------------------------------------------------------
 
 def test_report_trees_byte_identical(corpus_dir, tmp_path):
@@ -513,6 +536,60 @@ def test_report_sensepause_rows_follow_succeeding_pairs(tmp_path):
     skipped = read_csv(out / "report" / "skipped.csv")
     assert {"analysis": "sensepause", "unit": "p0/p1",
             "reason": "degenerate variance"} in skipped
+
+
+# a failing command or a skipped report step writes none of its files --------
+
+@pytest.fixture(scope="module")
+def short_corpus_dir(tmp_path_factory):
+    """A 150-line scanned poem, too short for one 200-line rolling window,
+    and a 250-line one, too short for one 300-line cluster window."""
+    root = tmp_path_factory.mktemp("shortcorpus") / "corpus"
+    probs = [0.3, 0.25, 0.2, 0.15, 0.1]
+    write_corpus(build_corpus(iid_scansion_poem("short", 150, probs, seed=1),
+                              iid_scansion_poem("long", 250, probs, seed=2)),
+                 root)
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    ["metre", "rolling", "--poem", "short"],
+    ["cluster", "sweep", "--poem", "long"],
+], ids=["metre-rolling", "cluster-sweep"])
+def test_failing_command_writes_no_files(short_corpus_dir, tmp_path, capsys,
+                                         argv):
+    out = tmp_path / "out"
+    assert dispatch([*argv, "--corpus", str(short_corpus_dir),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: nothing to plot\n"
+    assert tree_digests(tmp_path) == {}
+
+
+def test_skipped_report_step_writes_no_files(short_corpus_dir, tmp_path):
+    out = tmp_path / "out"
+    assert dispatch(["report", "--corpus", str(short_corpus_dir),
+                     "--out", str(out)]) == 0
+    assert read_csv(out / "report" / "skipped.csv") == [
+        {"analysis": analysis, "unit": unit, "reason": reason}
+        for analysis, unit, reason in (
+            ("sensepause", "short/long", "insufficient samples"),
+            ("metre split-tests", "short", "split line 2300 outside poem"),
+            ("metre rolling", "short", "nothing to plot"),
+            ("metre split-tests", "long", "split line 2300 outside poem"),
+            ("hapax fit", "short", "no hapax compounds in range"),
+            ("hapax fit", "long", "no hapax compounds in range"),
+            ("shared", "(none)",
+             "fewer than two poems with compound annotations"),
+            ("cluster dendrogram", "(corpus)",
+             "need at least two 300-line windows across poems "
+             "['short', 'long']"),
+            ("cluster sweep", "long", "nothing to plot"))]
+    files = tree_digests(out)
+    assert "metre/rolling-long.svg" in files
+    assert "metre/proportions-long.csv" in files
+    assert not [name for name in files
+                if name.startswith(("metre/proportions-short",
+                                    "metre/rolling-short", "cluster/"))]
 
 
 # golden digests -------------------------------------------------------------

@@ -7,6 +7,7 @@ from helpers import (
     build_poem,
     drift_scansion_poem,
     iid_scansion_poem,
+    loop_label_tallies,
     split_change_scansion_poem,
     two_draw_bootstrap_p,
 )
@@ -25,7 +26,13 @@ from versemetry.metre import (
     rolling_pattern_proportions,
     split_distribution_tests,
 )
-from versemetry.stats import RngStream, TestMethod, chi2_gof, chi2_homogeneity
+from versemetry.stats import (
+    RngStream,
+    TestMethod,
+    chi2_gof,
+    chi2_homogeneity,
+    chi2_independence,
+)
 
 UNIFORM = [0.2] * 5
 
@@ -366,6 +373,36 @@ def test_independence_calibrated_under_null():
         if halves_independence_test(poem).p_value > 0.01 :
             high += 1
     assert high >= 95
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tallies_match_loop_reference(seed):
+    """Half- and full-line counts, the independence table and the split
+    tests' analytic results, over ranges of a poem with missing halves,
+    equal those of the line-by-line tallies."""
+    gen = RngStream(seed, 5).generator()
+    n = 300
+    codes = gen.integers(-1, 5, size=(n, 2))
+    poem = build_poem("p", n, pattern_fn=lambda i: tuple(
+        HALF_LABELS[c] if c >= 0 else None for c in codes[i - 1]))
+    starts = gen.integers(1, n - 30, size=5)
+    ranges = [(1, n)] + [(int(a), int(gen.integers(a + 30, n + 1)))
+                         for a in starts]
+    for first, last in ranges:
+        half, full, table = loop_label_tallies(poem, first, last)
+        assert pattern_counts(poem, Granularity.HALF_LINE,
+                              first, last).counts == half
+        assert pattern_counts(poem, Granularity.FULL_LINE,
+                              first, last).counts == full
+        assert halves_independence_test(poem, first, last) == \
+            chi2_independence(table)
+    split = split_distribution_tests(poem, 150, B=1000)
+    (half_b, full_b, _), (half_a, full_a, _) = (
+        loop_label_tallies(poem, 1, 150), loop_label_tallies(poem, 151, n))
+    assert split.half_homogeneity == chi2_homogeneity(half_b, half_a)
+    assert split.half_gof == chi2_gof(half_a, half_b)
+    assert split.full_homogeneity == chi2_homogeneity(full_b, full_a)
+    assert split.full_gof == chi2_gof(full_a, full_b)
 
 
 def test_independence_adjusts_df_for_missing_labels():
