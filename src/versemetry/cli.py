@@ -329,19 +329,26 @@ def _granularity(name: str) -> Granularity:
     return Granularity.HALF_LINE if name == "half" else Granularity.FULL_LINE
 
 
-def _rolling_outputs(poem_id: str, rolling, granularity: str,
+def _check_window_fits(poem: Poem, width: int) -> None:
+    if poem.line_count < width:
+        raise AnalysisError(f"poem {poem.id} has {poem.line_count} lines, "
+                            f"fewer than the window width {width}")
+
+
+def _rolling_outputs(poem: Poem, rolling, granularity: str,
                      split_line: int | None) -> dict:
     """Rolling pattern proportions as a table and a stacked-area figure."""
+    _check_window_fits(poem, rolling.width)
     columns = ("start",) + tuple(rolling.series)
     rows = [dict(zip(columns, values))
             for values in zip(rolling.starts, *rolling.series.values())]
     return {
-        f"proportions-{poem_id}": (columns, rows),
-        f"rolling-{poem_id}.svg": FigureSpec(
+        f"proportions-{poem.id}": (columns, rows),
+        f"rolling-{poem.id}.svg": FigureSpec(
             kind=FigureKind.STACKED_AREA,
             series=tuple((label, tuple(zip(rolling.starts, values)))
                          for label, values in rolling.series.items()),
-            title=f"{poem_id}: rolling {granularity}-line proportions",
+            title=f"{poem.id}: rolling {granularity}-line proportions",
             x_label="window start line", y_label="proportion",
             annotations=() if split_line is None
             else ((float(split_line), f"line {split_line}"),)),
@@ -354,7 +361,7 @@ def cmd_metre_rolling(args: argparse.Namespace, corpus: Corpus) -> dict:
         check_split_line(poem, args.split_line)
     rolling = rolling_pattern_proportions(
         poem, _granularity(args.granularity), args.width, args.step)
-    return _rolling_outputs(poem.id, rolling, args.granularity,
+    return _rolling_outputs(poem, rolling, args.granularity,
                             args.split_line)
 
 
@@ -571,8 +578,9 @@ def _int_list(text: str) -> list[int]:
                          "FIRST:LAST:STEP with STEP != 0, or A,B,...")
 
 
-def _sweep_outputs(result) -> dict:
+def _sweep_outputs(poem: Poem, result, width: int) -> dict:
     """Per-window assignments, a summary and a strip figure of the sweep."""
+    _check_window_fits(poem, width)
     rows = [
         {"n": cell.n, "k": cell.k, "sample": sample, "cluster": label}
         for cell in result.cells if cell.assignment is not None
@@ -599,9 +607,10 @@ def _sweep_outputs(result) -> dict:
 
 
 def cmd_cluster_sweep(args: argparse.Namespace, corpus: Corpus) -> dict:
-    return _sweep_outputs(robustness_sweep(
+    result = robustness_sweep(
         corpus, args.poem, n_values=_int_list(args.n_values),
-        k_values=_int_list(args.k_values), width=args.width, step=args.step))
+        k_values=_int_list(args.k_values), width=args.width, step=args.step)
+    return _sweep_outputs(corpus.poem(args.poem), result, args.width)
 
 
 # ---------------------------------------------------------------- report ----
@@ -671,7 +680,7 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
     def rolling(poem: Poem):
         marker = (args.split_line if 1 <= args.split_line < poem.line_count
                   else None)
-        return _rolling_outputs(poem.id, rolling_pattern_proportions(
+        return _rolling_outputs(poem, rolling_pattern_proportions(
             poem, Granularity.HALF_LINE, 200, 100), "half", marker)
 
     def independence(poem: Poem):
@@ -712,9 +721,9 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
     def sweep():
         # trimmed grid keeps the battery fast; the sweep subcommand runs the
         # full one
-        return _sweep_outputs(robustness_sweep(
+        return _sweep_outputs(sweep_target, robustness_sweep(
             corpus, sweep_target.id, n_values=[2, 3],
-            k_values=[100, 200, 300, 400, 500], width=300, step=100))
+            k_values=[100, 200, 300, 400, 500], width=300, step=100), 300)
 
     metre = {"split-tests": split_tests, "rolling": rolling,
              "independence": independence, "incidence-r": incidence}

@@ -318,33 +318,57 @@ def cosine_distance_matrix(profiles: Sequence[NgramProfile]) -> DistanceMatrix:
     return DistanceMatrix(labels=labels, values=dist)
 
 
+def _refresh(work: np.ndarray, node: np.ndarray, rows: np.ndarray,
+             nearest: np.ndarray, partner: np.ndarray) -> None:
+    """Cache each row's smallest distance and the smallest node id at it."""
+    block = work[rows]
+    nearest[rows] = block.min(axis=1)
+    partner[rows] = np.where(block == nearest[rows, None], node,
+                             2 * node.size).min(axis=1)
+
+
 def agglomerative_complete(dist: DistanceMatrix) -> Dendrogram:
-    """Complete-linkage agglomerative clustering with deterministic ties."""
+    """Complete-linkage agglomerative clustering with deterministic ties.
+
+    Each row of the work matrix caches its nearest distance and partner, the
+    smallest node id at that distance; merged rows and the diagonal hold inf,
+    so distances must be finite.  A merge refreshes only the merged row and
+    the rows whose partner it consumed: complete linkage never lowers a
+    distance and the new node has the largest id, so every other cache stays
+    exact (Müllner 2011, arXiv:1109.2378).
+    """
     n = len(dist.labels)
-    current = {i: i for i in range(n)}  # active node id -> matrix row
-    work = dist.values.copy()
+    if not np.isfinite(dist.values).all():
+        raise AnalysisError("distances must be finite")
+    if n < 2:
+        return Dendrogram(merges=(), leaves=dist.labels)
+    work = dist.values.astype(float)
+    np.fill_diagonal(work, np.inf)
+    node = np.arange(n)  # node id held by each row
+    row_of = np.arange(2 * n - 1)  # row holding each node id
+    nearest, partner = np.empty(n), np.empty(n, dtype=node.dtype)
+    _refresh(work, node, node, nearest, partner)
     merges = []
-    next_id = n
-    while len(current) > 1:
-        best = None
-        for a in sorted(current):
-            for b in sorted(current):
-                if b <= a:
-                    continue
-                d = work[current[a], current[b]]
-                key = (d, a, b)
-                if best is None or key < best:
-                    best = key
-        height, a, b = best
-        row_a, row_b = current[a], current[b]
+    for next_id in range(n, 2 * n - 1):
+        height = nearest.min()
+        rows = np.flatnonzero(nearest == height)
+        # (min id, max id) of each candidate pair as one key; ids are < 2n
+        key = (np.minimum(node[rows], partner[rows]) * 2 * n
+               + np.maximum(node[rows], partner[rows]))
+        a, b = divmod(int(key.min()), 2 * n)
+        row_a, row_b = row_of[a], row_of[b]
         # complete linkage: distance to the merged cluster is the max
-        merged_row = np.maximum(work[row_a], work[row_b])
-        work[row_a] = merged_row
-        work[:, row_a] = merged_row
-        del current[a], current[b]
-        current[next_id] = row_a
+        merged = np.maximum(work[row_a], work[row_b])
+        merged[row_b] = np.inf
+        work[row_a] = work[:, row_a] = merged
+        work[row_b] = work[:, row_b] = np.inf
+        nearest[row_b], partner[row_b] = np.inf, -1
+        node[row_a] = next_id
+        row_of[next_id] = row_a
+        _refresh(work, node, np.append(
+            np.flatnonzero((partner == a) | (partner == b)), row_a),
+            nearest, partner)
         merges.append((a, b, float(height)))
-        next_id += 1
     return Dendrogram(merges=tuple(merges), leaves=dist.labels)
 
 

@@ -3,31 +3,41 @@
 A sense-pause is any break in speech denoted by a punctuation mark other than
 a comma.  The recognized glyph set is ``. ? ! ; : ( ) -`` plus typographic
 single and double quotes (ASCII quotes optionally folded in).  Classification
-runs on the full verse line (both halves joined by a single space) in three
-corrected steps:
+runs on the full verse line (both halves joined by a single space).
+
+All lines of one call are classified in a single pass over one array of
+their code points, in which every position keeps the row of its line, so no
+rule looks across a line boundary.  The properties of a character (glyph,
+quote, alphanumeric, whitespace) are looked up once per distinct character.
+The corrected rules:
 
 1. commas are deleted before any other analysis, so they can never shadow an
    adjacent mark;
-2. ellipsis dots are suppressed: a dot inside a maximal run of two or more
-   dots, or inside a whitespace-delimited token consisting solely of dots,
-   is flagged and contributes to no ratio;
-3. position is structural: after stripping trailing whitespace, every mark
-   inside the terminal contiguous run of non-alphanumeric characters is
-   Final, everything else Intraline.
+2. ellipsis dots are suppressed: a dot is flagged, and contributes to no
+   ratio, when its maximal run of dots is two or more long, or when the run
+   is bounded by whitespace or the line edge on both sides;
+3. position is structural: a mark is Final iff no alphanumeric character
+   follows it on its line, Intraline otherwise;
+4. a quote glyph between two alphanumeric characters (an elision
+   apostrophe) is not a mark.
 
-``strict_compat=True`` instead reproduces the historical buggy behavior for
-side-by-side comparison: only the first seven marks of the enumerated set are
-recognized, no comma deletion, no ellipsis suppression, and a mark is Final
-only when it is literally the last character of the line.
+``strict_compat=True`` runs the same pass under the historical buggy rules,
+for side-by-side comparison: only the first seven marks of the enumerated set
+are recognized, no comma deletion, no ellipsis suppression, and a mark is
+Final only when it is literally the last character of the line.
+
+Ratios classify a poem or part in one call and sum per-line counts over each
+sample with prefix sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from statistics import fmean
 from typing import Iterable, Sequence
 import unicodedata
+
+import numpy as np
 
 from .corpus import Poem, VerseLine, filtered_line_numbers, partition_samples
 from .errors import AnalysisError
@@ -50,14 +60,18 @@ __all__ = [
 _CORE_GLYPHS = frozenset(".?!;:()-")
 _TYPOGRAPHIC_QUOTES = frozenset("‘’“”")
 _ASCII_QUOTES = frozenset("'\"")
+_QUOTES = _TYPOGRAPHIC_QUOTES | _ASCII_QUOTES
 STRICT_GLYPHS = _CORE_GLYPHS
 
 # everything any mode can treat as punctuation, plus the comma; text
 # normalizers elsewhere share this set so "strip punctuation" means the same
 # thing across analyses
-PUNCTUATION_GLYPHS = _CORE_GLYPHS | _TYPOGRAPHIC_QUOTES | _ASCII_QUOTES | {","}
+PUNCTUATION_GLYPHS = _CORE_GLYPHS | _QUOTES | {","}
 
-_VOWELS = frozenset("aeiouyæœ")
+_VOWEL_CODES = np.array(sorted(map(ord, "aeiouyæœ")))
+_COMMA, _DOT = ord(","), ord(".")
+# property bits of a character, looked up once per distinct character
+_GLYPH, _QUOTE, _ALNUM, _SPACE = 1, 2, 4, 8
 
 
 class MarkPosition(Enum):
@@ -86,13 +100,13 @@ class RatioReport:
     ratio: float | None
 
 
-def _full_text(line: VerseLine) -> str:
-    if line.b_text:
-        return f"{line.a_text} {line.b_text}"
-    return line.a_text
+_POSITIONS = (MarkPosition.INTRALINE, MarkPosition.FINAL)
 
 
-def _glyph_set(ascii_quotes: bool, count_hyphen: bool) -> frozenset[str]:
+def _glyph_set(strict_compat: bool, ascii_quotes: bool,
+               count_hyphen: bool) -> frozenset[str]:
+    if strict_compat:
+        return STRICT_GLYPHS
     glyphs = _CORE_GLYPHS | _TYPOGRAPHIC_QUOTES
     if ascii_quotes:
         glyphs |= _ASCII_QUOTES
@@ -101,95 +115,112 @@ def _glyph_set(ascii_quotes: bool, count_hyphen: bool) -> frozenset[str]:
     return glyphs
 
 
-def _suppressed_dot_indices(text: str) -> set[int]:
-    suppressed: set[int] = set()
-    # maximal dot runs of length >= 2
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] == ".":
-            j = i
-            while j < n and text[j] == ".":
-                j += 1
-            if j - i >= 2:
-                suppressed.update(range(i, j))
-            i = j
-        else:
-            i += 1
-    # whitespace-delimited tokens consisting solely of dots
-    start = 0
-    for token in text.split():
-        pos = text.index(token, start)
-        start = pos + len(token)
-        if set(token) == {"."}:
-            suppressed.update(range(pos, pos + len(token)))
-    return suppressed
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                         dtype="<u4")
 
 
-def _terminal_run_start(text: str) -> int:
-    """Index where the terminal punctuation-and-whitespace run begins.
+def _properties(text: str, codes: np.ndarray,
+                glyphs: frozenset[str]) -> np.ndarray:
+    """Property bits of every position, looked up once per distinct
+    character of ``text``."""
+    distinct = set(text)
+    table = np.zeros(max(map(ord, distinct), default=0) + 1, dtype=np.uint8)
+    for ch in distinct:
+        table[ord(ch)] = ((ch in glyphs) * _GLYPH
+                          | (ch in glyphs and ch in _QUOTES) * _QUOTE
+                          | ch.isalnum() * _ALNUM | ch.isspace() * _SPACE)
+    return table[codes]
 
-    Trailing whitespace is stripped first; every non-alphanumeric character
-    scanning back from the stripped end belongs to the run.
-    """
-    end = len(text.rstrip())
-    k = end
-    while k > 0 and not text[k - 1].isalnum():
-        k -= 1
-    return k
+
+def _neighbours(mask: np.ndarray,
+                joined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mask`` at the previous and at the next position on the same line;
+    ``joined[i]`` tells whether positions i and i + 1 share a line."""
+    before = np.zeros_like(mask)
+    before[1:] = mask[:-1] & joined
+    after = np.zeros_like(mask)
+    after[:-1] = mask[1:] & joined
+    return before, after
 
 
-def _classify_strict(text: str, line_index: int) -> list[SensePauseMark]:
-    marks = []
-    last = len(text) - 1
-    for i, ch in enumerate(text):
-        if ch in STRICT_GLYPHS:
-            position = MarkPosition.FINAL if i == last else MarkPosition.INTRALINE
-            marks.append(SensePauseMark(ch, line_index, position, False))
-    return marks
+def _mark_arrays(lines: Sequence[VerseLine], strict_compat: bool,
+                 glyphs: frozenset[str]):
+    """Code point, line row, finality and suppression of every mark."""
+    texts = [f"{ln.a_text} {ln.b_text}" if ln.b_text else ln.a_text
+             for ln in lines]
+    text = "".join(texts)
+    codes = _code_points(text)
+    row = np.repeat(np.arange(len(texts), dtype=np.int32),
+                    list(map(len, texts)))
+    if not strict_compat:
+        keep = codes != _COMMA
+        codes, row = codes[keep], row[keep]
+    props = _properties(text, codes, glyphs)
+    joined = row[1:] == row[:-1]
+    mark = (props & _GLYPH) != 0
+    if strict_compat:
+        final = np.ones_like(mark)
+        final[:-1] = ~joined
+        suppressed = np.zeros_like(mark)
+    else:
+        alnum = (props & _ALNUM) != 0
+        alnum_before, alnum_after = _neighbours(alnum, joined)
+        mark &= ~(((props & _QUOTE) != 0) & alnum_before & alnum_after)
+        # the first alphanumeric position at or after each position
+        size = codes.size
+        ahead = np.where(alnum, np.arange(size, dtype=np.int32), size)
+        ahead = np.minimum.accumulate(ahead[::-1])[::-1]
+        final = np.append(row, -1)[ahead] != row
+        dot = codes == _DOT
+        dot_before, dot_after = _neighbours(dot, joined)
+        solid_before, solid_after = _neighbours((props & _SPACE) == 0, joined)
+        suppressed = dot & (dot_before | dot_after
+                            | ~(solid_before | solid_after))
+    at = np.flatnonzero(mark)
+    return codes[at], row[at], final[at], suppressed[at]
 
 
 def classify_sense_pauses(
-    line: VerseLine,
+    lines: Sequence[VerseLine],
     *,
     strict_compat: bool = False,
     ascii_quotes: bool = False,
     count_hyphen: bool = True,
 ) -> list[SensePauseMark]:
-    """All sense-pause marks on a verse line, in text order.
+    """All sense-pause marks on the verse lines, in text order.
 
-    Suppressed ellipsis dots are returned with ``suppressed_as_ellipsis=True``
-    so callers can report them; they contribute to no ratio.  Quote glyphs
-    embedded between two alphanumeric characters (elision apostrophes) are not
-    marks.  Unknown glyphs are ignored.
+    Each mark carries the index of its line.  Suppressed ellipsis dots are
+    returned with ``suppressed_as_ellipsis=True`` so callers can report them;
+    they contribute to no ratio.  Quote glyphs embedded between two
+    alphanumeric characters (elision apostrophes) are not marks.  Unknown
+    glyphs are ignored.
     """
-    text = _full_text(line)
-    if strict_compat:
-        return _classify_strict(text, line.index)
+    codes, rows, final, suppressed = (a.tolist() for a in _mark_arrays(
+        lines, strict_compat,
+        _glyph_set(strict_compat, ascii_quotes, count_hyphen)))
+    return [SensePauseMark(chr(code), lines[row].index, _POSITIONS[is_final],
+                           is_suppressed)
+            for code, row, is_final, is_suppressed
+            in zip(codes, rows, final, suppressed)]
 
-    glyphs = _glyph_set(ascii_quotes, count_hyphen)
-    quote_glyphs = (_TYPOGRAPHIC_QUOTES | _ASCII_QUOTES) & glyphs
-    text = text.replace(",", "")
-    suppressed = _suppressed_dot_indices(text)
-    final_from = _terminal_run_start(text)
 
-    marks = []
-    for i, ch in enumerate(text):
-        if ch not in glyphs:
-            continue
-        if ch in quote_glyphs:
-            embedded = (0 < i < len(text) - 1
-                        and text[i - 1].isalnum() and text[i + 1].isalnum())
-            if embedded:
-                continue
-        marks.append(SensePauseMark(
-            glyph=ch,
-            line=line.index,
-            position=(MarkPosition.FINAL if i >= final_from
-                      else MarkPosition.INTRALINE),
-            suppressed_as_ellipsis=i in suppressed,
-        ))
-    return marks
+def _counted_lines(marks: Iterable[SensePauseMark]) -> tuple[list[int],
+                                                              list[int]]:
+    """Line indexes of the intraline and of the final marks that count."""
+    intraline: list[int] = []
+    final: list[int] = []
+    for mark in marks:
+        if not mark.suppressed_as_ellipsis:
+            (final if mark.position is MarkPosition.FINAL
+             else intraline).append(mark.line)
+    return intraline, final
+
+
+def _report(unit_id: str, intraline: int, final: int) -> RatioReport:
+    total = intraline + final
+    return RatioReport(unit_id, intraline, final,
+                       intraline / total if total else None)
 
 
 def intraline_ratio(
@@ -201,20 +232,10 @@ def intraline_ratio(
     count_hyphen: bool = True,
 ) -> RatioReport:
     """Aggregate pause counts over ``lines``; ratio undefined with no marks."""
-    intraline = final = 0
-    for line in lines:
-        for mark in classify_sense_pauses(
-                line, strict_compat=strict_compat, ascii_quotes=ascii_quotes,
-                count_hyphen=count_hyphen):
-            if mark.suppressed_as_ellipsis:
-                continue
-            if mark.position is MarkPosition.FINAL:
-                final += 1
-            else:
-                intraline += 1
-    total = intraline + final
-    ratio = intraline / total if total else None
-    return RatioReport(unit_id, intraline, final, ratio)
+    intraline, final = _counted_lines(classify_sense_pauses(
+        list(lines), strict_compat=strict_compat, ascii_quotes=ascii_quotes,
+        count_hyphen=count_hyphen))
+    return _report(unit_id, len(intraline), len(final))
 
 
 def window_ratio_reports(poem: Poem, sample_len: int, *,
@@ -222,17 +243,26 @@ def window_ratio_reports(poem: Poem, sample_len: int, *,
                          **toggles) -> list[RatioReport]:
     """Pause counts of each ``sample_len``-line sample of a poem or part.
 
-    ``toggles`` are the classification switches of ``intraline_ratio``.
+    ``toggles`` are the classification switches of ``intraline_ratio``.  The
+    poem or part is classified in one call; a poem's line n has index n, so
+    each sample sums the per-line counts of its lines from prefix sums.
     """
     numbers = filtered_line_numbers(poem, part)
     label = poem.id if part is None else f"{poem.id}/{part}"
-    reports = []
-    for window in partition_samples(poem, sample_len, line_filter=part):
-        lines = [poem.lines[n - 1]
-                 for n in numbers[window.first_line - 1:window.last_line]]
-        reports.append(intraline_ratio(
-            lines, f"{label}:{window.first_line}-{window.last_line}", **toggles))
-    return reports
+    windows = partition_samples(poem, sample_len, line_filter=part)
+    if not windows:
+        return []
+    marks = classify_sense_pauses([poem.lines[n - 1] for n in numbers],
+                                  **toggles)
+    intraline, final = (
+        np.concatenate(([0], np.cumsum(np.bincount(
+            np.array(indexes, dtype=np.intp),
+            minlength=poem.line_count + 1)[numbers]))).tolist()
+        for indexes in _counted_lines(marks))
+    return [_report(f"{label}:{w.first_line}-{w.last_line}",
+                    intraline[w.last_line] - intraline[w.first_line - 1],
+                    final[w.last_line] - final[w.first_line - 1])
+            for w in windows]
 
 
 def sample_ratio_comparison(reports_a: Sequence[RatioReport],
@@ -249,26 +279,21 @@ def sample_ratio_comparison(reports_a: Sequence[RatioReport],
     return pooled_t_test(ratios_a, ratios_b)
 
 
-def _strip_accents(text: str) -> str:
-    decomposed = unicodedata.normalize("NFD", text)
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-
-
-def _vowel_runs(text: str) -> int:
-    runs = 0
-    in_run = False
-    for ch in _strip_accents(text).lower():
-        if ch in _VOWELS:
-            if not in_run:
-                runs += 1
-                in_run = True
-        else:
-            in_run = False
-    return runs
-
-
 def mean_syllables_per_line(lines: Sequence[VerseLine]) -> float:
-    """Mean vowel-run count per line, a rough syllable-length diagnostic."""
+    """Mean vowel-run count per line, a rough syllable-length diagnostic.
+
+    Every half-line is counted from one string, the halves joined by
+    newlines: NFD-normalized, stripped of combining characters and
+    lower-cased.  A newline is no vowel, so no run spans two halves.
+    """
     if not lines:
         return 0.0
-    return fmean(_vowel_runs(ln.a_text) + _vowel_runs(ln.b_text) for ln in lines)
+    text = unicodedata.normalize("NFD", "\n".join(
+        half for ln in lines for half in (ln.a_text, ln.b_text)))
+    combining = dict.fromkeys(ord(ch) for ch in set(text)
+                              if unicodedata.combining(ch))
+    vowel = np.isin(_code_points(text.translate(combining).lower()),
+                    _VOWEL_CODES)
+    # a run starts at a vowel that follows no vowel
+    runs = int(vowel[0]) + int(np.count_nonzero(vowel[1:] & ~vowel[:-1]))
+    return runs / len(lines)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import unicodedata
 from collections import Counter
 from pathlib import Path
 
@@ -245,6 +246,96 @@ def loop_label_tallies(poem, first, last):
             table[HALF_LABELS.index(ln.a_pattern),
                   HALF_LABELS.index(ln.b_pattern)] += 1
     return tuple(half.values()), tuple(full.values()), table
+
+
+_CORE_GLYPHS = frozenset(".?!;:()-")
+_TYPOGRAPHIC_QUOTES = frozenset("‘’“”")
+_ASCII_QUOTES = frozenset("'\"")
+
+
+def _loop_suppressed_dot_indices(text):
+    suppressed = set()
+    # maximal dot runs of length >= 2
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] == ".":
+            j = i
+            while j < n and text[j] == ".":
+                j += 1
+            if j - i >= 2:
+                suppressed.update(range(i, j))
+            i = j
+        else:
+            i += 1
+    # whitespace-delimited tokens consisting solely of dots
+    start = 0
+    for token in text.split():
+        pos = text.index(token, start)
+        start = pos + len(token)
+        if set(token) == {"."}:
+            suppressed.update(range(pos, pos + len(token)))
+    return suppressed
+
+
+def _loop_terminal_run_start(text):
+    end = len(text.rstrip())
+    k = end
+    while k > 0 and not text[k - 1].isalnum():
+        k -= 1
+    return k
+
+
+def loop_classify_line(line, *, strict_compat=False, ascii_quotes=False,
+                       count_hyphen=True):
+    """Reference for ``sensepause.classify_sense_pauses``: one verse line,
+    one character at a time, as ``(glyph, line, position, suppressed)``
+    tuples."""
+    text = f"{line.a_text} {line.b_text}" if line.b_text else line.a_text
+    if strict_compat:
+        last = len(text) - 1
+        return [(ch, line.index, "final" if i == last else "intraline", False)
+                for i, ch in enumerate(text) if ch in _CORE_GLYPHS]
+    glyphs = _CORE_GLYPHS | _TYPOGRAPHIC_QUOTES
+    if ascii_quotes:
+        glyphs |= _ASCII_QUOTES
+    if not count_hyphen:
+        glyphs -= {"-"}
+    quote_glyphs = (_TYPOGRAPHIC_QUOTES | _ASCII_QUOTES) & glyphs
+    text = text.replace(",", "")
+    suppressed = _loop_suppressed_dot_indices(text)
+    final_from = _loop_terminal_run_start(text)
+    marks = []
+    for i, ch in enumerate(text):
+        if ch not in glyphs:
+            continue
+        if ch in quote_glyphs:
+            embedded = (0 < i < len(text) - 1
+                        and text[i - 1].isalnum() and text[i + 1].isalnum())
+            if embedded:
+                continue
+        marks.append((ch, line.index,
+                      "final" if i >= final_from else "intraline",
+                      i in suppressed))
+    return marks
+
+
+def loop_vowel_runs(text):
+    """Reference for ``sensepause.mean_syllables_per_line``: vowel runs of
+    one half-line, one character at a time."""
+    decomposed = unicodedata.normalize("NFD", text)
+    stripped = "".join(ch for ch in decomposed
+                       if not unicodedata.combining(ch))
+    runs = 0
+    in_run = False
+    for ch in stripped.lower():
+        if ch in "aeiouyæœ":
+            if not in_run:
+                runs += 1
+                in_run = True
+        else:
+            in_run = False
+    return runs
 
 
 def two_draw_bootstrap_p(pooled_items, n_a, n_b, observed_homogeneity,

@@ -170,10 +170,10 @@ def test_criterion_3_pause_classification_fixes(capsys):
     reproduces the opposite, historical behaviour.  Exact-match assertions."""
     poem = parse_corpus(FIXTURES / "errata").poem("errata")
 
-    corrected_bracket = classify_sense_pauses(poem.line(1))
-    strict_bracket = classify_sense_pauses(poem.line(1), strict_compat=True)
-    corrected_dots = classify_sense_pauses(poem.line(2))
-    strict_dots = classify_sense_pauses(poem.line(2), strict_compat=True)
+    corrected_bracket = classify_sense_pauses([poem.line(1)])
+    strict_bracket = classify_sense_pauses([poem.line(1)], strict_compat=True)
+    corrected_dots = classify_sense_pauses([poem.line(2)])
+    strict_dots = classify_sense_pauses([poem.line(2)], strict_compat=True)
 
     expected_corrected = [
         SensePauseMark("(", 1, MarkPosition.INTRALINE, False),

@@ -552,16 +552,18 @@ def short_corpus_dir(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("argv", [
-    ["metre", "rolling", "--poem", "short"],
-    ["cluster", "sweep", "--poem", "long"],
+@pytest.mark.parametrize("argv,reason", [
+    (["metre", "rolling", "--poem", "short"],
+     "poem short has 150 lines, fewer than the window width 200"),
+    (["cluster", "sweep", "--poem", "long"],
+     "poem long has 250 lines, fewer than the window width 300"),
 ], ids=["metre-rolling", "cluster-sweep"])
 def test_failing_command_writes_no_files(short_corpus_dir, tmp_path, capsys,
-                                         argv):
+                                         argv, reason):
     out = tmp_path / "out"
     assert dispatch([*argv, "--corpus", str(short_corpus_dir),
                      "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: nothing to plot\n"
+    assert capsys.readouterr().err == f"error: {reason}\n"
     assert tree_digests(tmp_path) == {}
 
 
@@ -574,7 +576,8 @@ def test_skipped_report_step_writes_no_files(short_corpus_dir, tmp_path):
         for analysis, unit, reason in (
             ("sensepause", "short/long", "insufficient samples"),
             ("metre split-tests", "short", "split line 2300 outside poem"),
-            ("metre rolling", "short", "nothing to plot"),
+            ("metre rolling", "short",
+             "poem short has 150 lines, fewer than the window width 200"),
             ("metre split-tests", "long", "split line 2300 outside poem"),
             ("hapax fit", "short", "no hapax compounds in range"),
             ("hapax fit", "long", "no hapax compounds in range"),
@@ -583,7 +586,8 @@ def test_skipped_report_step_writes_no_files(short_corpus_dir, tmp_path):
             ("cluster dendrogram", "(corpus)",
              "need at least two 300-line windows across poems "
              "['short', 'long']"),
-            ("cluster sweep", "long", "nothing to plot"))]
+            ("cluster sweep", "long",
+             "poem long has 250 lines, fewer than the window width 300"))]
     files = tree_digests(out)
     assert "metre/rolling-long.svg" in files
     assert "metre/proportions-long.csv" in files

@@ -292,6 +292,58 @@ class TestAgglomerativeComplete:
         dist = random_distance_matrix(20, seed)
         assert agglomerative_complete(dist) == brute_force_complete(dist)
 
+    @staticmethod
+    def quantised(n, levels, seed):
+        """Distances on ``levels`` evenly spaced values: most are tied."""
+        from versemetry.ngramcluster import DistanceMatrix
+
+        gen = RngStream(seed, 13).generator()
+        raw = gen.integers(1, levels + 1, size=(n, n)) / levels
+        values = np.maximum(raw, raw.T)
+        np.fill_diagonal(values, 0.0)
+        return DistanceMatrix(labels=tuple(f"s{i:02d}" for i in range(n)),
+                              values=values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), levels=st.integers(1, 4),
+           seed=st.integers(0, 10 ** 6))
+    def test_quantised_ties_match_brute_force(self, n, levels, seed):
+        dist = self.quantised(n, levels, seed)
+        assert agglomerative_complete(dist) == brute_force_complete(dist)
+
+    @pytest.mark.parametrize("n,levels", [(5, 2), (12, 2), (25, 3), (40, 3)])
+    def test_ties_between_merged_clusters(self, n, levels):
+        tree = agglomerative_complete(self.quantised(n, levels, n))
+        assert tree == brute_force_complete(self.quantised(n, levels, n))
+        heights = [h for _, _, h in tree.merges]
+        # some tied height is won or lost by a cluster made by a merge
+        assert any(heights.count(h) > 1 and max(a, b) >= n
+                   for a, b, h in tree.merges)
+
+    def test_partner_is_smallest_id_not_first_row(self):
+        from versemetry.ngramcluster import DistanceMatrix
+
+        # node 5 = {0, 1} lives in row 0, before rows 2 and 3; nodes 2, 3
+        # and 5 are all 0.5 apart, and the tie goes to (2, 3), not (2, 5)
+        values = np.array([
+            [0.0, 0.1, 0.5, 0.5, 0.9],
+            [0.1, 0.0, 0.5, 0.5, 0.9],
+            [0.5, 0.5, 0.0, 0.5, 0.9],
+            [0.5, 0.5, 0.5, 0.0, 0.9],
+            [0.9, 0.9, 0.9, 0.9, 0.0]])
+        dist = DistanceMatrix(labels=tuple("abcde"), values=values)
+        tree = agglomerative_complete(dist)
+        assert tree == brute_force_complete(dist)
+        assert tree.merges == ((0, 1, 0.1), (2, 3, 0.5), (5, 6, 0.5),
+                               (4, 7, 0.9))
+
+    def test_non_finite_distance_rejected(self):
+        from versemetry.ngramcluster import DistanceMatrix
+
+        values = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        with pytest.raises(AnalysisError, match="finite"):
+            agglomerative_complete(DistanceMatrix(("a", "b"), values))
+
     def test_heights_nondecreasing_and_count(self):
         for seed in range(5):
             dist = random_distance_matrix(12, 100 + seed)

@@ -1,12 +1,13 @@
 """Tests for sense-pause classification, ratios, and the syllable estimator."""
 
 import pathlib
+from statistics import fmean
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_poem
+from helpers import build_poem, loop_classify_line, loop_vowel_runs
 from versemetry.corpus import PartRange, VerseLine, parse_corpus
 from versemetry.errors import AnalysisError
 from versemetry.sensepause import (
@@ -38,7 +39,7 @@ def errata_poem():
 
 
 def test_close_bracket_is_final_when_corrected(errata_poem):
-    marks = classify_sense_pauses(errata_poem.line(1))
+    marks = classify_sense_pauses([errata_poem.line(1)])
     assert marks == [
         SensePauseMark("(", 1, MarkPosition.INTRALINE, False),
         SensePauseMark(")", 1, MarkPosition.FINAL, False),
@@ -46,7 +47,7 @@ def test_close_bracket_is_final_when_corrected(errata_poem):
 
 
 def test_close_bracket_is_intraline_in_strict_mode(errata_poem):
-    marks = classify_sense_pauses(errata_poem.line(1), strict_compat=True)
+    marks = classify_sense_pauses([errata_poem.line(1)], strict_compat=True)
     assert marks == [
         SensePauseMark("(", 1, MarkPosition.INTRALINE, False),
         SensePauseMark(")", 1, MarkPosition.INTRALINE, False),
@@ -54,14 +55,14 @@ def test_close_bracket_is_intraline_in_strict_mode(errata_poem):
 
 
 def test_ellipsis_dots_all_suppressed_when_corrected(errata_poem):
-    marks = classify_sense_pauses(errata_poem.line(2))
+    marks = classify_sense_pauses([errata_poem.line(2)])
     assert len(marks) == 5
     assert all(m.glyph == "." and m.suppressed_as_ellipsis for m in marks)
     assert [m for m in marks if not m.suppressed_as_ellipsis] == []
 
 
 def test_ellipsis_dots_counted_in_strict_mode(errata_poem):
-    marks = classify_sense_pauses(errata_poem.line(2), strict_compat=True)
+    marks = classify_sense_pauses([errata_poem.line(2)], strict_compat=True)
     assert len(marks) == 5
     assert all(not m.suppressed_as_ellipsis for m in marks)
     assert all(m.position is MarkPosition.INTRALINE for m in marks)
@@ -80,7 +81,7 @@ def test_errata_ratios_differ_between_modes(errata_poem):
 # ---------------------------------------------------------------------------
 
 def test_canonical_intraline_and_final():
-    marks = classify_sense_pauses(line_of("abc; def."))
+    marks = classify_sense_pauses([line_of("abc; def.")])
     assert [(m.glyph, m.position) for m in marks] == [
         (";", MarkPosition.INTRALINE),
         (".", MarkPosition.FINAL),
@@ -89,85 +90,203 @@ def test_canonical_intraline_and_final():
 
 def test_all_eleven_marks_recognized():
     text = "a. b? c! d; e: f(g) h - i ‘j’ k “l”"
-    marks = classify_sense_pauses(line_of(text))
+    marks = classify_sense_pauses([line_of(text)])
     glyphs = [m.glyph for m in marks]
     assert glyphs == [".", "?", "!", ";", ":", "(", ")", "-",
                       "‘", "’", "“", "”"]
 
 
 def test_comma_is_never_a_mark():
-    assert classify_sense_pauses(line_of("a, b, c,")) == []
+    assert classify_sense_pauses([line_of("a, b, c,")]) == []
 
 
 def test_unknown_glyphs_ignored():
-    assert classify_sense_pauses(line_of("«abc» ~x~ †y†")) == []
+    assert classify_sense_pauses([line_of("«abc» ~x~ †y†")]) == []
 
 
 def test_ascii_quotes_toggle():
     line = line_of('he said "stop" now')
-    assert classify_sense_pauses(line) == []
-    marks = classify_sense_pauses(line, ascii_quotes=True)
+    assert classify_sense_pauses([line]) == []
+    marks = classify_sense_pauses([line], ascii_quotes=True)
     assert [m.glyph for m in marks] == ['"', '"']
 
 
 def test_embedded_apostrophe_is_not_a_mark():
     line = line_of("ne'er the less", "o’er the waves")
-    assert classify_sense_pauses(line, ascii_quotes=True) == []
+    assert classify_sense_pauses([line], ascii_quotes=True) == []
 
 
 def test_free_standing_quote_counts():
-    marks = classify_sense_pauses(line_of("he said 'stop now"), ascii_quotes=True)
+    marks = classify_sense_pauses([line_of("he said 'stop now")],
+                                  ascii_quotes=True)
     assert [m.glyph for m in marks] == ["'"]
 
 
 def test_hyphen_toggle():
     line = line_of("guð-rinc monig")
-    assert [m.glyph for m in classify_sense_pauses(line)] == ["-"]
-    assert classify_sense_pauses(line, count_hyphen=False) == []
+    assert [m.glyph for m in classify_sense_pauses([line])] == ["-"]
+    assert classify_sense_pauses([line], count_hyphen=False) == []
 
 
 def test_terminal_punctuation_run_is_final():
-    marks = classify_sense_pauses(line_of('abc!?'))
+    marks = classify_sense_pauses([line_of('abc!?')])
     assert [(m.glyph, m.position) for m in marks] == [
         ("!", MarkPosition.FINAL), ("?", MarkPosition.FINAL)]
 
 
 def test_final_survives_trailing_whitespace():
-    marks = classify_sense_pauses(line_of("abc.   "))
+    marks = classify_sense_pauses([line_of("abc.   ")])
     assert [(m.glyph, m.position) for m in marks] == [(".", MarkPosition.FINAL)]
 
 
 def test_caesura_is_not_line_end():
-    marks = classify_sense_pauses(line_of("abc.", "def."))
+    marks = classify_sense_pauses([line_of("abc.", "def.")])
     assert [(m.glyph, m.position) for m in marks] == [
         (".", MarkPosition.INTRALINE), (".", MarkPosition.FINAL)]
 
 
 def test_strict_final_requires_literal_last_character():
     assert classify_sense_pauses(
-        line_of("abc. "), strict_compat=True
+        [line_of("abc. ")], strict_compat=True
     ) == [SensePauseMark(".", 1, MarkPosition.INTRALINE, False)]
     assert classify_sense_pauses(
-        line_of("abc."), strict_compat=True
+        [line_of("abc.")], strict_compat=True
     ) == [SensePauseMark(".", 1, MarkPosition.FINAL, False)]
 
 
 def test_strict_mode_ignores_quote_glyphs():
     line = line_of("a ‘b’ c “d”.")
-    marks = classify_sense_pauses(line, strict_compat=True)
+    marks = classify_sense_pauses([line], strict_compat=True)
     assert [m.glyph for m in marks] == ["."]
 
 
 def test_single_free_standing_dot_token_is_suppressed():
-    marks = classify_sense_pauses(line_of("abc . def"))
+    marks = classify_sense_pauses([line_of("abc . def")])
     assert len(marks) == 1
     assert marks[0].suppressed_as_ellipsis
 
 
 def test_comma_separated_dots_merge_into_ellipsis():
     # comma deletion happens first, so ".,." is one dot run
-    marks = classify_sense_pauses(line_of("abc.,. def"))
+    marks = classify_sense_pauses([line_of("abc.,. def")])
     assert all(m.suppressed_as_ellipsis for m in marks)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass kernel against the per-line loops
+# ---------------------------------------------------------------------------
+
+TOGGLES = [dict(strict_compat=strict, ascii_quotes=quotes, count_hyphen=hyphen)
+           for strict in (False, True) for quotes in (False, True)
+           for hyphen in (False, True)]
+
+
+def assert_matches_loops(lines):
+    """Every toggle: the kernel's marks are the per-line loop's, and the
+    syllable mean is the per-half loop's."""
+    for toggles in TOGGLES:
+        marks = classify_sense_pauses(lines, **toggles)
+        assert [(m.glyph, m.line, m.position.value, m.suppressed_as_ellipsis)
+                for m in marks] == [mark for line in lines
+                                    for mark in loop_classify_line(line,
+                                                                   **toggles)]
+    expected = (fmean(loop_vowel_runs(ln.a_text) + loop_vowel_runs(ln.b_text)
+                      for ln in lines) if lines else 0.0)
+    got = mean_syllables_per_line(lines)
+    assert type(got) is float and got == expected
+
+
+KERNEL_HALVES = {
+    "every-glyph": ("a. b? c! d; e: f(g) h - i ‘j’ k “l”", "m 'n' o \"p\"."),
+    "quotes-between-alnum": ("ne'er o’er a“b c”d", "9'9 æ’ð x\"y ‘z’"),
+    "quotes-at-edges": ("’tis", "o’"),
+    "dots-split-by-commas": ("abc.,. def .,. g", ". , . x.,y ,.,"),
+    "dot-tokens": ("a . b .. c", ". x ."),
+    "dot-runs": ("a...b", "c.... d."),
+    "unicode-space": ("a\u2003.\u2003b", "c\x1c.\x1cd\u00a0.\u2003"),
+    "trailing-space": ("abc.\u2003", "def;\x1c\t"),
+    "letters-and-digits": ("æ. ð; þ9. 12.5", "x9!"),
+    "accents": ("é. e\u0301; ǣ.", "sǣ-gōd İ. ı;"),
+    "combining-after-mark": ("a.\u0301 b", ";\u0301"),
+    "empty-b": ("a; b.", ""),
+    "empty-a": ("", "a; b."),
+    "both-empty": ("", ""),
+    "only-marks": ("?!", ";"),
+}
+
+
+@pytest.mark.parametrize("halves", list(KERNEL_HALVES.values()),
+                         ids=list(KERNEL_HALVES))
+def test_kernel_matches_loops_on_fixed_lines(halves):
+    assert_matches_loops([line_of(*halves)])
+
+
+def test_kernel_matches_loops_over_every_fixed_line_at_once():
+    assert_matches_loops([line_of(*halves, index=i) for i, halves
+                          in enumerate(KERNEL_HALVES.values(), start=1)])
+
+
+KERNEL_TEXT = st.text(
+    alphabet="ab9æðþé\u0301İ .,;:!?()-'\"‘’“”\t\u2003\x1c\u00a0…«",
+    max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(KERNEL_TEXT, KERNEL_TEXT), max_size=6))
+def test_kernel_matches_loops(halves):
+    assert_matches_loops([line_of(a, b, index=i)
+                          for i, (a, b) in enumerate(halves, start=1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(KERNEL_TEXT, KERNEL_TEXT), min_size=1, max_size=12),
+       st.integers(1, 5), st.sampled_from(TOGGLES))
+def test_window_counts_match_loops(halves, sample_len, toggles):
+    poem = build_poem("p", len(halves),
+                      text_fn=lambda i: halves[i - 1])
+    expected = []
+    for window in range(len(halves) // sample_len):
+        marks = [mark for line in poem.lines[window * sample_len:
+                                             (window + 1) * sample_len]
+                 for mark in loop_classify_line(line, **toggles)
+                 if not mark[3]]
+        expected.append((sum(m[2] == "intraline" for m in marks),
+                         sum(m[2] == "final" for m in marks)))
+    reports = window_ratio_reports(poem, sample_len, **toggles)
+    assert [(r.intraline_count, r.final_count) for r in reports] == expected
+
+
+def test_nothing_leaks_across_a_line_boundary():
+    def marks(*texts):
+        return classify_sense_pauses(
+            [line_of(t, index=i) for i, t in enumerate(texts, start=1)])
+
+    # a vowel at the end of one line and at the start of the next
+    assert mean_syllables_per_line([line_of("ba"), line_of("ab")]) == 1.0
+    assert mean_syllables_per_line([line_of("ba", "ab")]) == 2.0
+    # a dot on each side of the boundary is no ellipsis
+    assert marks("abc.", ".def") == [
+        SensePauseMark(".", 1, MarkPosition.FINAL, False),
+        SensePauseMark(".", 2, MarkPosition.INTRALINE, False)]
+    # a mark is final although the next line starts with a letter
+    assert marks("a;", "b") == [
+        SensePauseMark(";", 1, MarkPosition.FINAL, False)]
+    # a quote at a line edge is not embedded between letters
+    assert marks("a’", "b") == [
+        SensePauseMark("’", 1, MarkPosition.FINAL, False)]
+    assert marks("a", "’b") == [
+        SensePauseMark("’", 2, MarkPosition.INTRALINE, False)]
+    # strict mode: the last character of each line, not of the call
+    assert classify_sense_pauses([line_of("a."), line_of("b.", index=2)],
+                                 strict_compat=True) == [
+        SensePauseMark(".", 1, MarkPosition.FINAL, False),
+        SensePauseMark(".", 2, MarkPosition.FINAL, False)]
+
+
+def test_no_lines_no_marks():
+    for toggles in TOGGLES:
+        assert classify_sense_pauses([], **toggles) == []
+    assert classify_sense_pauses([line_of(",,,")]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +372,7 @@ def test_appending_period_never_increases_ratio(line):
 @given(verse_lines())
 def test_replacing_dots_with_commas_removes_dot_marks(line):
     replaced = line_of(line.a_text.replace(".", ","))
-    marks = classify_sense_pauses(replaced)
+    marks = classify_sense_pauses([replaced])
     assert all(m.glyph != "." for m in marks)
 
 
