@@ -325,10 +325,6 @@ def cmd_sensepause(args: argparse.Namespace, corpus: Corpus) -> dict:
     }
 
 
-def _granularity(name: str) -> Granularity:
-    return Granularity.HALF_LINE if name == "half" else Granularity.FULL_LINE
-
-
 def _check_window_fits(poem: Poem, width: int) -> None:
     if poem.line_count < width:
         raise AnalysisError(f"poem {poem.id} has {poem.line_count} lines, "
@@ -360,7 +356,7 @@ def cmd_metre_rolling(args: argparse.Namespace, corpus: Corpus) -> dict:
     if args.split_line is not None:
         check_split_line(poem, args.split_line)
     rolling = rolling_pattern_proportions(
-        poem, _granularity(args.granularity), args.width, args.step)
+        poem, Granularity(args.granularity), args.width, args.step)
     return _rolling_outputs(poem, rolling, args.granularity,
                             args.split_line)
 
@@ -412,7 +408,7 @@ def _incidence_fit_row(poem_id: str, pattern: str, granularity: str,
 
 def cmd_metre_incidence(args: argparse.Namespace, corpus: Corpus) -> dict:
     poem = corpus.poem(args.poem)
-    granularity = _granularity(args.granularity)
+    granularity = Granularity(args.granularity)
     points = incidence_points(poem, args.pattern, granularity)
     fit = cumulative_incidence_r(poem, args.pattern, granularity)
     name = f"{poem.id}-{args.pattern}"
@@ -457,12 +453,12 @@ def _hapax_series_outputs(poem_id: str, series) -> dict:
 def cmd_hapax_fit(args: argparse.Namespace, corpus: Corpus) -> dict:
     poem = corpus.poem(args.poem)
     index = build_compound_index(corpus)
-    first = 1 if args.first is None else args.first
-    last = poem.line_count if args.last is None else args.last
-    series, fit = hapax_cumulative_fit(poem, index.hapax_set, first, last)
+    series, fit = hapax_cumulative_fit(poem, index.hapax_set, args.first,
+                                       args.last)
     return {**_hapax_series_outputs(poem.id, series),
             f"fit-{poem.id}": (FIT_COLUMNS, [
-                _fit_row(poem.id, first, last, series[-1][1], fit)])}
+                _fit_row(poem.id, series[0][0], series[-1][0], series[-1][1],
+                         fit)])}
 
 
 def _parse_unit(corpus: Corpus, spec: str) -> tuple[Poem, int | None, int | None]:
@@ -485,11 +481,10 @@ def cmd_hapax_segments(args: argparse.Namespace, corpus: Corpus) -> dict:
     mode = SegmentMode(args.mode)
     unit_fits, combined = segment_fits(units, mode, index.hapax_set)
     rows = []
-    for (poem, first, last), (series, fit) in zip(units, unit_fits):
-        lo = 1 if first is None else first
-        hi = poem.line_count if last is None else last
-        rows.append(_fit_row(f"{poem.id}:{lo}-{hi}", lo, hi, series[-1][1],
-                             fit))
+    for (poem, _, _), (series, fit) in zip(units, unit_fits):
+        (first, _), (last, n_hapax) = series[0], series[-1]
+        rows.append(_fit_row(f"{poem.id}:{first}-{last}", first, last,
+                             n_hapax, fit))
     total_hapax = sum(row["n_hapax"] for row in rows)
     total_lines = sum(row["last_line"] - row["first_line"] + 1 for row in rows)
     combined_span = (1, total_lines) if mode is SegmentMode.MERGE else (
@@ -671,8 +666,6 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
                                     poem_a=poem_a, poem_b=poem_b)])}
 
     def split_tests(poem: Poem):
-        if not 1 <= args.split_line < poem.line_count:
-            raise AnalysisError(f"split line {args.split_line} outside poem")
         return _split_outputs(split_distribution_tests(
             poem, args.split_line, B=args.bootstrap, rng=RngStream(args.seed)),
             poem.id)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CorpusError, InputError
+from .errors import AnalysisError, CorpusError, InputError
 
 __all__ = [
     "SCANSION_LABELS",
@@ -29,6 +29,7 @@ __all__ = [
     "parse_corpus",
     "write_corpus",
     "partition_samples",
+    "resolve_line_range",
     "rolling_windows",
 ]
 
@@ -382,6 +383,18 @@ def partition_samples(poem: Poem, sample_len: int,
             composition={line_filter: sample_len},
         ))
     return windows
+
+
+def resolve_line_range(poem: Poem, first: int | None,
+                       last: int | None) -> tuple[int, int]:
+    """Inclusive 1-based bounds of a line range; ``None`` means the poem's
+    first or last line.  Raises unless the range lies inside the poem."""
+    lo = 1 if first is None else first
+    hi = poem.line_count if last is None else last
+    if not 1 <= lo <= hi <= poem.line_count:
+        raise AnalysisError(
+            f"poem {poem.id}: bad line range {lo}-{hi} (poem has {poem.line_count})")
+    return lo, hi
 
 
 def filtered_line_numbers(poem: Poem, line_filter: str | None) -> list[int]:

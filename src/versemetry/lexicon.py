@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Poem
+from .corpus import Corpus, Poem, resolve_line_range
 from .errors import AnalysisError, InputError
 from .stats import LinearFit, RngStream, ols_fit
 
@@ -101,11 +101,7 @@ def hapax_cumulative_fit(
     original line numbering.  Raw per-line slope is returned (multiply by 100
     for the conventional per-100-line reporting scale).
     """
-    lo = 1 if first is None else first
-    hi = poem.line_count if last is None else last
-    if not 1 <= lo <= hi <= poem.line_count:
-        raise AnalysisError(
-            f"poem {poem.id}: bad line range {lo}-{hi} (poem has {poem.line_count})")
+    lo, hi = resolve_line_range(poem, first, last)
     series = []
     running = 0
     for ln in poem.lines[lo - 1:hi]:
@@ -140,13 +136,11 @@ def segment_fits(
     offset = 0
     running = 0
     for poem, first, last in units:
-        lo = 1 if first is None else first
-        hi = poem.line_count if last is None else last
-        series, fit = hapax_cumulative_fit(poem, hapax_set, lo, hi)
+        series, fit = hapax_cumulative_fit(poem, hapax_set, first, last)
         unit_fits.append((series, fit))
         if mode is SegmentMode.MERGE:
-            xs.extend(offset + (x - lo + 1) for x, _ in series)
-            offset += hi - lo + 1
+            xs.extend(range(offset + 1, offset + len(series) + 1))
+            offset += len(series)
         else:
             xs.extend(x for x, _ in series)
         ys.extend(running + y for _, y in series)

@@ -9,6 +9,11 @@ Full-line pairing follows the sequential rule: a line contributes a pattern
 only when both halves are scanned.  Missing halves are skipped and logged,
 never repaired, and every missing half increments a misalignment warning
 counter because a gap can desynchronize naive sequential pairing.
+
+Every tally reads one code array per call: each line's two halves as codes
+0-4 for A-E, -1 where unscanned, and a full line as ``5 * a + b``, the index
+of its pattern in ``FULL_LABELS``.  Counts over any line range are
+differences of one prefix-count array.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import Poem
+from .corpus import Poem, resolve_line_range
 from .errors import AnalysisError, InputError
 from .stats import (
     LinearFit,
@@ -112,70 +117,70 @@ class SplitTestTable:
     log_after: PairingLog
 
 
-def _require_scansion(poem: Poem) -> None:
-    if not any(ln.a_pattern or ln.b_pattern for ln in poem.lines):
+_HALF_CODES = {None: -1, **{lab: i for i, lab in enumerate(HALF_LABELS)}}
+_LABELS = {Granularity.HALF_LINE: HALF_LABELS, Granularity.FULL_LINE: FULL_LABELS}
+
+
+def _scansion_codes(poem: Poem) -> np.ndarray:
+    """(line_count, 2) codes of each line's a and b halves: labels A-E are
+    0-4 and an unscanned half is -1.  Raises unless some half is scanned."""
+    codes = np.array([[_HALF_CODES[ln.a_pattern] for ln in poem.lines],
+                      [_HALF_CODES[ln.b_pattern] for ln in poem.lines]],
+                     dtype=np.int64).T
+    if not (codes >= 0).any():
         raise AnalysisError(f"poem {poem.id} unscanned")
+    return codes
 
 
-def _resolve_range(poem: Poem, first: int | None, last: int | None) -> tuple[int, int]:
-    lo = 1 if first is None else first
-    hi = poem.line_count if last is None else last
-    if not 1 <= lo <= hi <= poem.line_count:
-        raise AnalysisError(
-            f"poem {poem.id}: bad line range {lo}-{hi} (poem has {poem.line_count})")
-    return lo, hi
+def _units(codes: np.ndarray, granularity: Granularity) -> np.ndarray:
+    """Label code of every unit, one row per line: both halves at half-line
+    granularity; at full-line granularity one column, the index ``5 * a + b``
+    of the pattern in ``FULL_LABELS``, or -1 unless both halves are scanned."""
+    if granularity is Granularity.HALF_LINE:
+        return codes
+    a, b = codes.T
+    return np.where((a >= 0) & (b >= 0), 5 * a + b, -1)[:, None]
+
+
+def _prefix_counts(codes: np.ndarray, granularity: Granularity) -> np.ndarray:
+    """Row i holds the label counts of lines 1..i, so lines lo..hi count
+    ``prefix[hi] - prefix[lo - 1]``."""
+    units = _units(codes, granularity)
+    per_line = (units[:, :, None]
+                == np.arange(len(_LABELS[granularity]))).sum(axis=1)
+    prefix = np.zeros((len(codes) + 1, per_line.shape[1]), dtype=np.int64)
+    np.cumsum(per_line, axis=0, out=prefix[1:])
+    return prefix
+
+
+def _pairing_log(codes: np.ndarray) -> PairingLog:
+    """Pairing bookkeeping of the lines whose codes are given."""
+    missing = codes < 0
+    missing_a = int(np.count_nonzero(missing[:, 0]))
+    missing_b = int(np.count_nonzero(missing[:, 1] & ~missing[:, 0]))
+    return PairingLog(len(codes) - missing_a - missing_b, missing_a, missing_b,
+                      int(np.count_nonzero(missing)))
 
 
 def pair_full_lines(poem: Poem, first: int | None = None,
                     last: int | None = None) -> tuple[list[str], PairingLog]:
     """Sequential full-line patterns over a range, with skip accounting."""
-    _require_scansion(poem)
-    lo, hi = _resolve_range(poem, first, last)
-    patterns = []
-    missing_a = missing_b = warnings = 0
-    for ln in poem.lines[lo - 1:hi]:
-        if ln.a_pattern is None:
-            missing_a += 1
-            warnings += 1 if ln.b_pattern is not None else 2
-        elif ln.b_pattern is None:
-            missing_b += 1
-            warnings += 1
-        else:
-            patterns.append(ln.a_pattern + ln.b_pattern)
-    return patterns, PairingLog(len(patterns), missing_a, missing_b, warnings)
-
-
-def _per_line_label_matrix(poem: Poem, granularity: Granularity) -> np.ndarray:
-    """(line_count, n_labels) matrix of label incidences per line.
-
-    Full-line column ``5 * a + b`` counts the lines whose halves are labels
-    ``a`` and ``b``, so a row sum reshaped to 5x5 is the (a, b) table.
-    """
-    code = {lab: i for i, lab in enumerate(HALF_LABELS)}
-    a = np.fromiter((code.get(ln.a_pattern, -1) for ln in poem.lines),
-                    np.int64, poem.line_count)
-    b = np.fromiter((code.get(ln.b_pattern, -1) for ln in poem.lines),
-                    np.int64, poem.line_count)
-    rows = np.arange(poem.line_count)
-    if granularity is Granularity.HALF_LINE:
-        m = np.zeros((poem.line_count, len(HALF_LABELS)), dtype=np.int64)
-        for half in (a, b):
-            m[rows[half >= 0], half[half >= 0]] += 1
-    else:
-        m = np.zeros((poem.line_count, len(FULL_LABELS)), dtype=np.int64)
-        both = (a >= 0) & (b >= 0)
-        m[rows[both], 5 * a[both] + b[both]] = 1
-    return m
+    codes = _scansion_codes(poem)
+    lo, hi = resolve_line_range(poem, first, last)
+    section = codes[lo - 1:hi]
+    full = _units(section, Granularity.FULL_LINE)
+    patterns = [FULL_LABELS[c] for c in full[full >= 0].tolist()]
+    return patterns, _pairing_log(section)
 
 
 def pattern_counts(poem: Poem, granularity: Granularity,
                    first: int | None = None, last: int | None = None) -> PatternCounts:
     """Label counts over the fixed label order, zeros retained."""
-    _require_scansion(poem)
-    lo, hi = _resolve_range(poem, first, last)
-    counts = _per_line_label_matrix(poem, granularity)[lo - 1:hi].sum(axis=0)
-    labels = HALF_LABELS if granularity is Granularity.HALF_LINE else FULL_LABELS
-    return PatternCounts(granularity, labels, tuple(int(c) for c in counts),
+    codes = _scansion_codes(poem)
+    lo, hi = resolve_line_range(poem, first, last)
+    prefix = _prefix_counts(codes, granularity)
+    return PatternCounts(granularity, _LABELS[granularity],
+                         tuple((prefix[hi] - prefix[lo - 1]).tolist()),
                          (lo, hi))
 
 
@@ -189,16 +194,14 @@ def rolling_pattern_proportions(
 
     Windows containing no scanned units produce no data point.
     """
-    _require_scansion(poem)
+    codes = _scansion_codes(poem)
     if width < 1 or step < 1:
         raise InputError("width and step must be at least 1")
-    labels = HALF_LABELS if granularity is Granularity.HALF_LINE else FULL_LABELS
-    m = _per_line_label_matrix(poem, granularity)
+    labels = _LABELS[granularity]
     if poem.line_count < width:
         return RollingProportions(granularity, width, step, (),
                                   {lab: () for lab in labels})
-    prefix = np.zeros((poem.line_count + 1, m.shape[1]), dtype=np.int64)
-    np.cumsum(m, axis=0, out=prefix[1:])
+    prefix = _prefix_counts(codes, granularity)
     starts_all = np.arange(1, poem.line_count - width + 2, step)
     window_counts = prefix[starts_all + width - 1] - prefix[starts_all - 1]
     totals = window_counts.sum(axis=1)
@@ -217,25 +220,14 @@ def incidence_points(poem: Poem, pattern: str,
     half-line units count every half position, full-line units use the line
     index.
     """
-    _require_scansion(poem)
-    xs = []
-    if granularity is Granularity.HALF_LINE:
-        if pattern not in HALF_LABELS:
-            raise AnalysisError(f"unknown half-line pattern {pattern!r}")
-        unit = 0
-        for ln in poem.lines:
-            for half in (ln.a_pattern, ln.b_pattern):
-                unit += 1
-                if half == pattern:
-                    xs.append(unit)
-    else:
-        if pattern not in FULL_LABELS:
-            raise AnalysisError(f"unknown full-line pattern {pattern!r}")
-        for ln in poem.lines:
-            if ln.a_pattern is not None and ln.b_pattern is not None:
-                if ln.a_pattern + ln.b_pattern == pattern:
-                    xs.append(ln.index)
-    return [(x, i + 1) for i, x in enumerate(xs)]
+    codes = _scansion_codes(poem)
+    labels = _LABELS[granularity]
+    if pattern not in labels:
+        raise AnalysisError(
+            f"unknown {granularity.value}-line pattern {pattern!r}")
+    units = _units(codes, granularity).ravel()
+    xs = np.flatnonzero(units == labels.index(pattern)) + 1
+    return [(x, i) for i, x in enumerate(xs.tolist(), start=1)]
 
 
 def cumulative_incidence_r(poem: Poem, pattern: str,
@@ -276,20 +268,19 @@ def split_distribution_tests(
     ``rng.substream(0)``, scores both statistics.  ``rng`` defaults to
     RngStream(0).
     """
-    _require_scansion(poem)
+    codes = _scansion_codes(poem)
     check_split_line(poem, split_line)
     if rng is None:
         rng = RngStream(0)
 
-    half, full = (_per_line_label_matrix(poem, granularity)
+    half, full = (_prefix_counts(codes, granularity)
                   for granularity in Granularity)
-    half_before, full_before = (m[:split_line].sum(axis=0) for m in (half, full))
-    half_after, full_after = (m[split_line:].sum(axis=0) for m in (half, full))
-    patterns_before, log_before = pair_full_lines(poem, 1, split_line)
-    patterns_after, log_after = pair_full_lines(poem, split_line + 1)
+    half_before, full_before = half[split_line], full[split_line]
+    half_after, full_after = half[-1] - half_before, full[-1] - full_before
+    n_b, n_a = int(full_before.sum()), int(full_after.sum())
     if half_before.sum() == 0 or half_after.sum() == 0:
         raise AnalysisError("degenerate split: a section has no scanned halves")
-    if not patterns_before or not patterns_after:
+    if n_b == 0 or n_a == 0:
         raise AnalysisError("degenerate split: a section has no paired lines")
 
     try:
@@ -300,8 +291,9 @@ def split_distribution_tests(
     except AnalysisError as exc:
         raise AnalysisError(f"degenerate split: {exc}")
 
-    pooled = patterns_before + patterns_after
-    n_b, n_a = len(patterns_before), len(patterns_after)
+    # pattern codes sort as the pattern strings do, so the pooled category
+    # counts, and with them the draws, are those of the pooled patterns
+    pooled = np.repeat(np.arange(len(FULL_LABELS)), full_before + full_after)
     p_hom, p_gof = bootstrap_null_p(pooled, n_b, n_a, full_hom.statistic,
                                     full_gof.statistic, B, rng.substream(0))
     boot_hom = TestResult(full_hom.statistic, None, p_hom,
@@ -316,8 +308,8 @@ def split_distribution_tests(
         full_gof=full_gof,
         full_homogeneity_boot=boot_hom,
         full_gof_boot=boot_gof,
-        log_before=log_before,
-        log_after=log_after,
+        log_before=_pairing_log(codes[:split_line]),
+        log_after=_pairing_log(codes[split_line:]),
     )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from versemetry.cli import dispatch
 from versemetry.corpus import Corpus, PartRange, Poem, VerseLine, rolling_windows
 from versemetry.errors import AnalysisError
-from versemetry.metre import HALF_LABELS
+from versemetry.metre import FULL_LABELS, HALF_LABELS, Granularity, PairingLog
 from versemetry.ngramcluster import (
     Dendrogram,
     DistanceMatrix,
@@ -246,6 +246,46 @@ def loop_label_tallies(poem, first, last):
             table[HALF_LABELS.index(ln.a_pattern),
                   HALF_LABELS.index(ln.b_pattern)] += 1
     return tuple(half.values()), tuple(full.values()), table
+
+
+def loop_pair_full_lines(poem, first, last):
+    """Reference for ``metre.pair_full_lines``: the sequential pairing rule
+    over lines ``first..last``, one line at a time."""
+    patterns = []
+    missing_a = missing_b = warnings = 0
+    for ln in poem.lines[first - 1:last]:
+        if ln.a_pattern is None:
+            missing_a += 1
+            warnings += 1 if ln.b_pattern is not None else 2
+        elif ln.b_pattern is None:
+            missing_b += 1
+            warnings += 1
+        else:
+            patterns.append(ln.a_pattern + ln.b_pattern)
+    return patterns, PairingLog(len(patterns), missing_a, missing_b, warnings)
+
+
+def loop_incidence_points(poem, pattern, granularity):
+    """Reference for ``metre.incidence_points``: half-line units numbered
+    one half at a time, full-line units by line index."""
+    if pattern not in (HALF_LABELS if granularity is Granularity.HALF_LINE
+                       else FULL_LABELS):
+        raise AnalysisError(
+            f"unknown {granularity.value}-line pattern {pattern!r}")
+    xs = []
+    if granularity is Granularity.HALF_LINE:
+        unit = 0
+        for ln in poem.lines:
+            for half in (ln.a_pattern, ln.b_pattern):
+                unit += 1
+                if half == pattern:
+                    xs.append(unit)
+    else:
+        for ln in poem.lines:
+            if ln.a_pattern is not None and ln.b_pattern is not None:
+                if ln.a_pattern + ln.b_pattern == pattern:
+                    xs.append(ln.index)
+    return [(x, i + 1) for i, x in enumerate(xs)]
 
 
 _CORE_GLYPHS = frozenset(".?!;:()-")

@@ -575,10 +575,12 @@ def test_skipped_report_step_writes_no_files(short_corpus_dir, tmp_path):
         {"analysis": analysis, "unit": unit, "reason": reason}
         for analysis, unit, reason in (
             ("sensepause", "short/long", "insufficient samples"),
-            ("metre split-tests", "short", "split line 2300 outside poem"),
+            ("metre split-tests", "short",
+             "split line 2300 not strictly inside poem short"),
             ("metre rolling", "short",
              "poem short has 150 lines, fewer than the window width 200"),
-            ("metre split-tests", "long", "split line 2300 outside poem"),
+            ("metre split-tests", "long",
+             "split line 2300 not strictly inside poem long"),
             ("hapax fit", "short", "no hapax compounds in range"),
             ("hapax fit", "long", "no hapax compounds in range"),
             ("shared", "(none)",

@@ -11,10 +11,11 @@ from versemetry.corpus import (
     filtered_line_numbers,
     parse_corpus,
     partition_samples,
+    resolve_line_range,
     rolling_windows,
     write_corpus,
 )
-from versemetry.errors import CorpusError
+from versemetry.errors import AnalysisError, CorpusError
 
 
 def _two_poem_corpus(tmp_path):
@@ -278,3 +279,14 @@ def test_partition_covers_prefix_contiguously(n, sample_len):
     covered = [i for w in windows for i in range(w.first_line, w.last_line + 1)]
     assert covered == list(range(1, len(windows) * sample_len + 1))
     assert all(w.width == sample_len for w in windows)
+
+
+def test_line_range_defaults_to_the_whole_poem():
+    poem = build_poem("p", 10)
+    assert resolve_line_range(poem, None, None) == (1, 10)
+    assert resolve_line_range(poem, 3, None) == (3, 10)
+    assert resolve_line_range(poem, None, 4) == (1, 4)
+    for first, last in ((0, 5), (5, 11), (6, 5), (None, 0), (11, None)):
+        with pytest.raises(AnalysisError, match=r"^poem p: bad line range "
+                           r"\d+-\d+ \(poem has 10\)$"):
+            resolve_line_range(poem, first, last)

@@ -7,7 +7,9 @@ from helpers import (
     build_poem,
     drift_scansion_poem,
     iid_scansion_poem,
+    loop_incidence_points,
     loop_label_tallies,
+    loop_pair_full_lines,
     split_change_scansion_poem,
     two_draw_bootstrap_p,
 )
@@ -21,6 +23,7 @@ from versemetry.metre import (
     PairingLog,
     cumulative_incidence_r,
     halves_independence_test,
+    incidence_points,
     pair_full_lines,
     pattern_counts,
     rolling_pattern_proportions,
@@ -375,11 +378,26 @@ def test_independence_calibrated_under_null():
     assert high >= 95
 
 
+def loop_rolling_series(poem, granularity, width, step):
+    """Rolling proportions, each window tallied line by line."""
+    starts, rows = [], []
+    for start in range(1, poem.line_count - width + 2, step):
+        half, full, _ = loop_label_tallies(poem, start, start + width - 1)
+        counts = half if granularity is Granularity.HALF_LINE else full
+        if sum(counts):
+            starts.append(start)
+            rows.append([c / sum(counts) for c in counts])
+    labels = HALF_LABELS if granularity is Granularity.HALF_LINE else FULL_LABELS
+    return tuple(starts), {lab: tuple(row[i] for row in rows)
+                           for i, lab in enumerate(labels)}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_tallies_match_loop_reference(seed):
-    """Half- and full-line counts, the independence table and the split
-    tests' analytic results, over ranges of a poem with missing halves,
-    equal those of the line-by-line tallies."""
+    """Half- and full-line counts, pairing, incidence points, rolling
+    proportions, the independence table and the split tests' analytic
+    results and logs, over ranges of a poem with missing halves, equal those
+    of the line-by-line tallies."""
     gen = RngStream(seed, 5).generator()
     n = 300
     codes = gen.integers(-1, 5, size=(n, 2))
@@ -396,6 +414,23 @@ def test_tallies_match_loop_reference(seed):
                               first, last).counts == full
         assert halves_independence_test(poem, first, last) == \
             chi2_independence(table)
+        assert pair_full_lines(poem, first, last) == \
+            loop_pair_full_lines(poem, first, last)
+    for granularity, labels in ((Granularity.HALF_LINE, HALF_LABELS),
+                                (Granularity.FULL_LINE, FULL_LABELS)):
+        for pattern in labels + ("Z", "AAA"):
+            try:
+                want = loop_incidence_points(poem, pattern, granularity)
+            except AnalysisError as exc:
+                with pytest.raises(AnalysisError, match=f"^{exc}$"):
+                    incidence_points(poem, pattern, granularity)
+            else:
+                assert incidence_points(poem, pattern, granularity) == want
+        for width, step in ((40, 7), (100, 1), (n + 1, 1)):
+            rolling = rolling_pattern_proportions(poem, granularity, width,
+                                                  step)
+            assert (rolling.starts, rolling.series) == \
+                loop_rolling_series(poem, granularity, width, step)
     split = split_distribution_tests(poem, 150, B=1000)
     (half_b, full_b, _), (half_a, full_a, _) = (
         loop_label_tallies(poem, 1, 150), loop_label_tallies(poem, 151, n))
@@ -403,6 +438,9 @@ def test_tallies_match_loop_reference(seed):
     assert split.half_gof == chi2_gof(half_a, half_b)
     assert split.full_homogeneity == chi2_homogeneity(full_b, full_a)
     assert split.full_gof == chi2_gof(full_a, full_b)
+    assert (split.log_before, split.log_after) == (
+        loop_pair_full_lines(poem, 1, 150)[1],
+        loop_pair_full_lines(poem, 151, n)[1])
 
 
 def test_independence_adjusts_df_for_missing_labels():

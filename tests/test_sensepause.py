@@ -256,6 +256,18 @@ def test_window_counts_match_loops(halves, sample_len, toggles):
     assert [(r.intraline_count, r.final_count) for r in reports] == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(KERNEL_TEXT, KERNEL_TEXT), max_size=6),
+       st.sampled_from(TOGGLES))
+def test_ratio_counts_the_unsuppressed_marks(halves, toggles):
+    lines = [line_of(a, b, index=i) for i, (a, b) in enumerate(halves, start=1)]
+    counted = [mark.position for mark in classify_sense_pauses(lines, **toggles)
+               if not mark.suppressed_as_ellipsis]
+    report = intraline_ratio(lines, "u", **toggles)
+    assert (report.intraline_count, report.final_count) == (
+        counted.count(MarkPosition.INTRALINE), counted.count(MarkPosition.FINAL))
+
+
 def test_nothing_leaks_across_a_line_boundary():
     def marks(*texts):
         return classify_sense_pauses(
