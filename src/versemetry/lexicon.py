@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -162,6 +162,44 @@ def type_token_ratio(poem: Poem) -> float | None:
 # on this value.
 _TRIAL_BLOCK = 16
 
+# Cells of the lookup table that maps a uniform to its poem.  A power of two,
+# so a uniform's cell, ``floor(u * _CELLS)``, is computed exactly.
+_CELLS = 4096
+
+
+def _poem_lookup(cumw: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Return a map from uniforms to ``searchsorted(cumw, u, side="right")``.
+
+    The map scales its argument, an array of uniforms in [0, 1), by
+    ``_CELLS`` in place and returns an intp array of poem indices.  Cell c
+    covers ``[c, c + 1)`` of the scaled uniforms, and its table entry is the
+    index of the cell's lower edge.  Every uniform in the cell compares
+    against each ``cumw[j]`` as that edge does, except in a cell with some
+    ``cumw[j]`` strictly inside it; there are at most ``cumw.size`` such
+    cells, and only the uniforms in them are searched.  Scaling by a power
+    of two keeps every comparison, so the indices are those of
+    ``searchsorted`` itself, even where ``cumw`` is not monotone.
+    """
+    scaled = cumw * _CELLS
+    table = np.searchsorted(scaled, np.arange(_CELLS), side="right")
+    cells = np.floor(scaled)
+    inside = cells[(cells != scaled) & (cells < _CELLS)].astype(np.intp)
+    ambiguous = np.zeros(_CELLS, dtype=bool)
+    ambiguous[inside] = True
+
+    def lookup(u: np.ndarray) -> np.ndarray:
+        u *= _CELLS
+        index = u.astype(np.intp)
+        fix = np.flatnonzero(ambiguous[index])
+        # the cell array becomes the index array; "clip" never clips here
+        # (every cell is below _CELLS) and, unlike "raise", needs no copy
+        np.take(table, index, out=index, mode="clip")
+        index.reshape(-1)[fix] = np.searchsorted(
+            scaled, u.reshape(-1)[fix], side="right")
+        return index
+
+    return lookup
+
 
 def _null_shared_counts(
     multiplicities: Sequence[int],
@@ -174,7 +212,7 @@ def _null_shared_counts(
     Entry ``[t, k]`` counts the types present in both poems of pair k in
     trial t, pairs in ``np.triu_indices(P, 1)`` order.  Only types with two
     or more occurrences are simulated, in ascending multiplicity: each trial
-    draws one uniform per occurrence, and ``searchsorted`` on the cumulative
+    draws one uniform per occurrence, and ``_poem_lookup`` on the cumulative
     weights turns it into a poem index (a categorical draw).  A float32
     one-hot presence tensor (trial, type, poem) gives each block's shared
     counts as a batched matmul, whose sums are exact while there are fewer
@@ -189,14 +227,14 @@ def _null_shared_counts(
     occurrence_type = np.repeat(np.arange(types), mults)
     cumw = np.cumsum(weights)
     cumw[-1] = 1.0  # a uniform in [0, 1) never maps past the last poem
+    poem_of = _poem_lookup(cumw)
     block = min(_TRIAL_BLOCK, N)
     # flat offset of each draw's (trial, type) row in a block's presence
     row_offset = (np.arange(block)[:, None] * types + occurrence_type) * P
     gen = rng.generator()
     for start in range(0, N, block):
         n = min(block, N - start)
-        flat = np.searchsorted(cumw, gen.random((n, occurrence_type.size)),
-                               side="right")
+        flat = poem_of(gen.random((n, occurrence_type.size)))
         flat += row_offset[:n]
         presence = np.zeros((n, types, P), dtype=np.float32)
         presence.reshape(-1)[flat] = 1

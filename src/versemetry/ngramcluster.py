@@ -307,12 +307,17 @@ def cosine_distance_matrix(profiles: Sequence[NgramProfile]) -> DistanceMatrix:
         if norm == 0.0:
             raise AnalysisError(
                 f"sample {label}: zero profile vector (no top-k grams present)")
-    unit = matrix / norms[:, None]
-    raw = 1.0 - unit @ unit.T
+    matrix /= norms[:, None]
+    # two n x n float arrays in all: the product and the symmetrised
+    # distances, each updated in place
+    raw = matrix @ matrix.T
+    np.subtract(1.0, raw, out=raw)
     # nonnegative vectors keep cosine in [0,1]; anything further out than
     # rounding noise means broken inputs
     assert raw.min() > -1e-9 and raw.max() < 1.0 + 1e-9
-    dist = np.clip((raw + raw.T) / 2.0, 0.0, 1.0)
+    dist = raw + raw.T
+    dist /= 2.0
+    np.clip(dist, 0.0, 1.0, out=dist)
     np.fill_diagonal(dist, 0.0)
     assert np.array_equal(dist, dist.T)
     return DistanceMatrix(labels=labels, values=dist)

@@ -433,10 +433,10 @@ def chi2_independence(table: Sequence[Sequence[int]]) -> TestResult:
 # Bootstrap machinery
 # --------------------------------------------------------------------------
 
-def _homogeneity_stats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a, b: (B, k) count matrices; returns (B,) Pearson statistics
-    n_a = a.sum(axis=1, keepdims=True)
-    n_b = b.sum(axis=1, keepdims=True)
+def _homogeneity_stats(a: np.ndarray, b: np.ndarray, n_a: int,
+                       n_b: int) -> np.ndarray:
+    # a, b: (B, k) count matrices whose rows sum to n_a and n_b; returns (B,)
+    # Pearson statistics
     tot = a + b
     n = n_a + n_b
     ea = n_a * tot / n
@@ -446,26 +446,27 @@ def _homogeneity_stats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _gof_stats(ref: np.ndarray, obs: np.ndarray) -> np.ndarray:
+def _gof_stats(ref: np.ndarray, obs: np.ndarray, n_ref: int,
+               n_obs: int) -> np.ndarray:
     """Pearson GOF statistic of each ``obs`` row against its ``ref`` row.
 
+    Every ``ref`` row sums to ``n_ref`` and every ``obs`` row to ``n_obs``.
     Same merge rule as ``chi2_gof``: observed mass in cells the reference
-    row leaves empty moves to the row's first covered cell.  Every reference
-    row holds at least one item, so that cell exists.
+    row leaves empty moves to the row's first covered cell, which keeps the
+    row's total.  Every reference row holds at least one item, so that cell
+    exists.
     """
     covered = ref > 0
     uncovered = np.where(covered, 0, obs).sum(axis=1)
     obs = np.where(covered, obs, 0)
     obs[np.arange(obs.shape[0]), covered.argmax(axis=1)] += uncovered
-    n_ref = ref.sum(axis=1, keepdims=True)
-    n_obs = obs.sum(axis=1, keepdims=True)
     expected = ref * (n_obs / n_ref)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(covered, (obs - expected) ** 2 / expected, 0.0)
     return terms.sum(axis=1)
 
 
-# Replicate rows per block when computing bootstrap statistics.
+# Replicate rows per block when drawing and scoring bootstrap replicates.
 _STAT_BLOCK = 1024
 
 
@@ -498,16 +499,22 @@ def bootstrap_null_p(
     _, counts = np.unique(np.asarray(pooled_items), return_counts=True)
     probs = counts / counts.sum()
 
+    # Successive multinomial calls continue one stream, so drawing in row
+    # blocks gives the rows of a single size=B call.  Group a is kept, as
+    # int32 (a row sums to n_a, a pooled count); group b is scored block by
+    # block against the matching rows of a, and each replicate's statistics
+    # depend on its own row only.
     gen = rng.generator()
-    sample_a = gen.multinomial(n_a, probs, size=B)
-    sample_b = gen.multinomial(n_b, probs, size=B)
-    # Each replicate's statistics depend on its own row only, so row blocks
-    # bound the float temporaries without changing any value.
+    sample_a = np.empty((B, probs.size), dtype=np.int32)
+    for start in range(0, B, _STAT_BLOCK):
+        a = sample_a[start:start + _STAT_BLOCK]
+        a[...] = gen.multinomial(n_a, probs, size=len(a))
     exceed_hom = exceed_gof = 0
     for start in range(0, B, _STAT_BLOCK):
         a = sample_a[start:start + _STAT_BLOCK]
-        b = sample_b[start:start + _STAT_BLOCK]
+        b = gen.multinomial(n_b, probs, size=len(a))
         exceed_hom += int(np.count_nonzero(
-            _homogeneity_stats(a, b) >= observed_homogeneity))
-        exceed_gof += int(np.count_nonzero(_gof_stats(a, b) >= observed_gof))
+            _homogeneity_stats(a, b, n_a, n_b) >= observed_homogeneity))
+        exceed_gof += int(np.count_nonzero(
+            _gof_stats(a, b, n_a, n_b) >= observed_gof))
     return (1 + exceed_hom) / (B + 1), (1 + exceed_gof) / (B + 1)

@@ -5,14 +5,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from versemetry import lexicon
 from versemetry.errors import AnalysisError, CorpusError
 from versemetry.lexicon import (
     PairScore,
     SegmentMode,
+    _CELLS,
     _null_shared_counts,
+    _poem_lookup,
     build_compound_index,
     hapax_cumulative_fit,
     segment_fits,
@@ -355,6 +357,57 @@ class FixedUniforms:
 
     def random(self, size):
         return np.full(size, self.value)
+
+
+def _normalised(raw):
+    raw = np.asarray(raw, dtype=float)
+    return raw / raw.sum()
+
+
+def _cut_weights(cuts):
+    # every cumulative weight on a cell edge; repeated cuts give zero weights
+    edges = np.array(sorted(cuts) + [_CELLS], dtype=float) / _CELLS
+    return np.diff(edges, prepend=0.0)
+
+
+_WEIGHTS = st.one_of(
+    # arbitrary weights, zeros included
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1e3)),
+             min_size=1, max_size=64).filter(lambda w: sum(w) > 0)
+    .map(_normalised),
+    # one heavy poem and many 1e-6 poems: several boundaries in one cell
+    st.tuples(st.integers(0, 63), st.integers(0, 63)).map(
+        lambda t: _normalised(np.insert(np.full(t[0], 1e-6), min(t), 1.0))),
+    # boundaries exactly on cell edges, and on quarters
+    st.lists(st.integers(0, _CELLS), max_size=63).map(_cut_weights),
+    st.lists(st.sampled_from([0, 1024, 2048, 3072]), max_size=8)
+    .map(_cut_weights),
+    # weights that sum to 1 - 2**-53
+    st.sampled_from([[0.1] * 10, [0.7, 0.2, 0.1]]).map(np.array),
+)
+
+
+class TestPoemLookup:
+    @settings(max_examples=150, deadline=None)
+    @given(_WEIGHTS, st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                              max_size=20))
+    # partial sums above the final 1.0: cumw is not monotone
+    @example(_normalised([58, 51, 67, 51, 98, 75, 6, 0]), [])
+    def test_indices_are_searchsorted_right(self, weights, extra):
+        # the kernel's cumulative weights, and every uniform at or next to a
+        # boundary or a cell edge
+        cumw = np.cumsum(weights)
+        cumw[-1] = 1.0
+        edges = np.arange(_CELLS) / _CELLS
+        near = np.concatenate([cumw, edges])
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)], extra, near,
+            np.nextafter(near, 0.0), np.nextafter(near, 2.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = np.searchsorted(cumw, u, side="right")
+        got = _poem_lookup(cumw)(u.copy())
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want)
 
 
 class TestNullSharedCounts:
