@@ -193,8 +193,9 @@ def _poem_grams(stream: str, rank: np.ndarray, radix: int, n: int,
     np.add.at(coverage, ends, -1)
     np.cumsum(coverage, out=coverage)
     # the arrays over all positions set the memory peak, so the coverage of
-    # each sorted position overwrites its index
-    np.take(coverage, order, out=order)
+    # each sorted position overwrites its index; "clip" writes in place where
+    # "raise" would buffer the whole output, and every index is in range
+    np.take(coverage, order, out=order, mode="clip")
     return grams, where, columns, np.add.reduceat(order, bounds)
 
 
@@ -205,10 +206,11 @@ def _poem_counts(stream: str, rank: np.ndarray, radix: int, n: int,
     codes ``wanted``, whose feature ranks are ``feature``."""
     codes = _gram_codes(_stream_ranks(stream, rank), n, radix)
     size = codes.size
-    # the wanted code at or after each position's code, written in place;
-    # a code is never -1, so codes past the last wanted one match nothing
+    # the wanted code at or after each position's code, written in place
+    # (unbuffered: every index is at most wanted.size); a code is never -1,
+    # so codes past the last wanted one match nothing
     nearest = np.searchsorted(wanted, codes)
-    np.take(np.append(wanted, -1), nearest, out=nearest)
+    np.take(np.append(wanted, -1), nearest, out=nearest, mode="clip")
     hits = np.flatnonzero(nearest == codes)
     del nearest
     # sorted (feature, position) keys: a window's count of a feature is the

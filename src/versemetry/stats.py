@@ -4,7 +4,9 @@ Implements ordinary least squares with Pearson correlation, the pooled-variance
 two-sample t-test, chi-square tests (homogeneity, goodness of fit,
 independence), and a seeded bootstrap for empirical p-values, in which one
 draw set scores both the homogeneity and the goodness-of-fit statistic.  The
-underlying tail probabilities are computed from scratch via the regularized
+bootstrap draws its replicates in 256-row blocks, each from its own
+substream, on up to every CPU; its p-values do not depend on the CPU count.
+The underlying tail probabilities are computed from scratch via the regularized
 incomplete gamma and beta functions (series + continued-fraction expansions),
 with an accuracy contract of 1e-8 relative error against high-precision oracle
 tables shipped with the test suite.
@@ -16,7 +18,10 @@ Carlo result is a pure function of its inputs and stream.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -278,7 +283,11 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     if syy == 0.0:
         r = 0.0
     else:
-        r = sxy / math.sqrt(sxx * syy)
+        scale = math.sqrt(sxx * syy)
+        if not 0.0 < scale < math.inf:
+            # the product under- or overflowed; the factors did not
+            scale = math.sqrt(sxx) * math.sqrt(syy)
+        r = sxy / scale
         r = min(max(r, -1.0), 1.0)
     return LinearFit(slope=slope, intercept=intercept, r=r, n=n)
 
@@ -466,8 +475,28 @@ def _gof_stats(ref: np.ndarray, obs: np.ndarray, n_ref: int,
     return terms.sum(axis=1)
 
 
-# Replicate rows per block when drawing and scoring bootstrap replicates.
-_STAT_BLOCK = 1024
+# Replicate rows per block.  Block i holds rows _BLOCK * i onwards and draws
+# them from rng.substream(i), so the block size is part of the draw stream.
+_BLOCK = 256
+# R's almost.1 (chisq.test): a replicate statistic that falls short of the
+# observed one by rounding alone ties with it, and a tie counts as reaching it.
+# The factor is 1 - 2**-46; summation order moves a statistic by far less.
+_ALMOST_ONE = 1.0 - 64 * float(np.finfo(float).eps)
+
+
+def _block_exceedances(index: int, probs: np.ndarray, n_a: int, n_b: int,
+                       hom_floor: float, gof_floor: float, B: int,
+                       rng: RngStream) -> tuple[int, int]:
+    # replicate block ``index``: its group-a rows, then its group-b rows,
+    # from its own substream; returns the two exceedance counts
+    gen = rng.substream(index).generator()
+    rows = min(_BLOCK, B - _BLOCK * index)
+    a = gen.multinomial(n_a, probs, size=rows)
+    b = gen.multinomial(n_b, probs, size=rows)
+    hom = _homogeneity_stats(a, b, n_a, n_b)
+    gof = _gof_stats(a, b, n_a, n_b)
+    return (int(np.count_nonzero(hom >= hom_floor)),
+            int(np.count_nonzero(gof >= gof_floor)))
 
 
 def bootstrap_null_p(
@@ -484,11 +513,21 @@ def bootstrap_null_p(
     The null is one common source distribution.  Each replicate resamples two
     groups of sizes ``n_a`` and ``n_b`` with replacement from the pooled
     items (realized as multinomial draws over the pooled category counts,
-    which is distributionally identical): all ``B`` rows of group a are drawn
-    from ``rng.generator()`` first, then those of group b.  Both statistics
-    are scored on the same replicates, homogeneity of a against b and
-    goodness of fit of b against a as the reference, and each p-value is
-    ``(1 + #{stat >= observed}) / (B + 1)``.
+    which is distributionally identical).  Replicate block ``i`` is rows
+    ``256 * i`` to ``256 * i + 255`` (the last block may be short); it draws
+    its group-a rows, then its group-b rows, from
+    ``rng.substream(i).generator()``.  Both statistics are scored on the same
+    replicates, homogeneity of a against b and goodness of fit of b against a
+    as the reference, and each p-value is ``(1 + #{stat >= observed}) /
+    (B + 1)``.  A statistic of at least ``1 - 64 * eps`` times the observed
+    one (R's ``almost.1``) counts as reaching it, so a replicate whose exact
+    statistic ties with the observed one counts whatever the summation order.
+
+    The blocks are shared out among the calling thread and up to
+    ``os.cpu_count() - 1`` worker threads, never more threads than blocks.
+    Each block depends only on its index, so the p-values depend only on the
+    arguments, not on the CPU count or the scheduling.  An exception raised
+    in a block is re-raised here once every thread has stopped.
     """
     if B < 1000:
         raise InputError("B must be at least 1000")
@@ -498,23 +537,43 @@ def bootstrap_null_p(
         raise ValueError("both group sizes must be positive")
     _, counts = np.unique(np.asarray(pooled_items), return_counts=True)
     probs = counts / counts.sum()
+    hom_floor = _ALMOST_ONE * observed_homogeneity
+    gof_floor = _ALMOST_ONE * observed_gof
 
-    # Successive multinomial calls continue one stream, so drawing in row
-    # blocks gives the rows of a single size=B call.  Group a is kept, as
-    # int32 (a row sums to n_a, a pooled count); group b is scored block by
-    # block against the matching rows of a, and each replicate's statistics
-    # depend on its own row only.
-    gen = rng.generator()
-    sample_a = np.empty((B, probs.size), dtype=np.int32)
-    for start in range(0, B, _STAT_BLOCK):
-        a = sample_a[start:start + _STAT_BLOCK]
-        a[...] = gen.multinomial(n_a, probs, size=len(a))
-    exceed_hom = exceed_gof = 0
-    for start in range(0, B, _STAT_BLOCK):
-        a = sample_a[start:start + _STAT_BLOCK]
-        b = gen.multinomial(n_b, probs, size=len(a))
-        exceed_hom += int(np.count_nonzero(
-            _homogeneity_stats(a, b, n_a, n_b) >= observed_homogeneity))
-        exceed_gof += int(np.count_nonzero(
-            _gof_stats(a, b, n_a, n_b) >= observed_gof))
+    blocks = -(-B // _BLOCK)
+    next_block = itertools.count()
+    taking = threading.Lock()
+    totals: list[tuple[int, int]] = []
+    errors: list[BaseException] = []
+
+    def drain() -> None:
+        hom = gof = 0
+        try:
+            while not errors:
+                with taking:
+                    index = next(next_block)
+                if index >= blocks:
+                    break
+                h, g = _block_exceedances(index, probs, n_a, n_b, hom_floor,
+                                          gof_floor, B, rng)
+                hom += h
+                gof += g
+        except BaseException as exc:
+            errors.append(exc)
+        totals.append((hom, gof))
+
+    workers: list[threading.Thread] = []
+    try:
+        for _ in range(min(os.cpu_count() or 1, blocks) - 1):
+            worker = threading.Thread(target=drain, daemon=True)
+            worker.start()
+            workers.append(worker)
+        drain()
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+    exceed_hom = sum(hom for hom, _ in totals)
+    exceed_gof = sum(gof for _, gof in totals)
     return (1 + exceed_hom) / (B + 1), (1 + exceed_gof) / (B + 1)

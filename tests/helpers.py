@@ -391,13 +391,33 @@ def loop_vowel_runs(text):
     return runs
 
 
+# rows per replicate block of the bootstrap draw stream
+BOOTSTRAP_BLOCK = 256
+# R's almost.1 in chisq.test(simulate.p.value = TRUE)
+ALMOST_ONE = 1.0 - 64 * np.finfo(float).eps
+
+
+def block_draws(probs, n_a, n_b, B, rng):
+    """The bootstrap's (group a, group b) replicate rows in one plain loop:
+    block i is rows 256 i onwards, group a then group b, from
+    ``rng.substream(i)``."""
+    a, b = [], []
+    for i, start in enumerate(range(0, B, BOOTSTRAP_BLOCK)):
+        rows = min(BOOTSTRAP_BLOCK, B - start)
+        gen = rng.substream(i).generator()
+        a.append(gen.multinomial(n_a, probs, size=rows))
+        b.append(gen.multinomial(n_b, probs, size=rows))
+    return np.concatenate(a), np.concatenate(b)
+
+
 def two_draw_bootstrap_p(pooled_items, n_a, n_b, observed_homogeneity,
                          observed_gof, B, rng):
-    """Reference for ``stats.bootstrap_null_p``, unblocked.
+    """Reference for ``stats.bootstrap_null_p``, with no threads.
 
-    Draws all of group a, then all of group b, from ``rng.generator()`` in
-    one call each, scores homogeneity with ``rowsum_homogeneity_stats`` and
-    goodness of fit with ``loop_gof_stats``, and returns ``(p_hom, p_gof)``.
+    Draws the replicate blocks with ``block_draws``, scores all rows at once,
+    homogeneity with ``rowsum_homogeneity_stats`` and goodness of fit with
+    ``loop_gof_stats``, counts a statistic at or above ``ALMOST_ONE`` times
+    the observed one, and returns ``(p_hom, p_gof)``.
     """
     categories = sorted(set(pooled_items))
     index = {c: i for i, c in enumerate(categories)}
@@ -405,13 +425,11 @@ def two_draw_bootstrap_p(pooled_items, n_a, n_b, observed_homogeneity,
     for item in pooled_items:
         counts[index[item]] += 1
     probs = counts / counts.sum()
-    gen = rng.generator()
-    sample_a = gen.multinomial(n_a, probs, size=B)
-    sample_b = gen.multinomial(n_b, probs, size=B)
-    exceed_hom = np.count_nonzero(
-        rowsum_homogeneity_stats(sample_a, sample_b) >= observed_homogeneity)
-    exceed_gof = np.count_nonzero(
-        loop_gof_stats(sample_a, sample_b) >= observed_gof)
+    sample_a, sample_b = block_draws(probs, n_a, n_b, B, rng)
+    exceed_hom = np.count_nonzero(rowsum_homogeneity_stats(sample_a, sample_b)
+                                  >= ALMOST_ONE * observed_homogeneity)
+    exceed_gof = np.count_nonzero(loop_gof_stats(sample_a, sample_b)
+                                  >= ALMOST_ONE * observed_gof)
     return (1 + int(exceed_hom)) / (B + 1), (1 + int(exceed_gof)) / (B + 1)
 
 

@@ -1,11 +1,13 @@
 """N-gram profiles, cosine distances, complete-linkage clustering, sweep."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from versemetry import ngramcluster
 from versemetry.corpus import SampleWindow, rolling_windows
 from versemetry.errors import AnalysisError
 from versemetry.ngramcluster import (
@@ -227,6 +229,29 @@ class TestBuildProfilesMatchesCounterReference:
         for k in (1, 50, 10 ** 6):
             assert (build_profiles(corpus, windows, 5, k)
                     == counter_build_profiles(corpus, windows, 5, k))
+
+
+def test_poem_grams_takes_coverage_in_place():
+    # After the sort only ``order`` and ``coverage`` span every position.  A
+    # buffered np.take would add a third int64 array, 24 bytes a position in
+    # all, above the sort's own peak of 22: int32 ranks, int64 codes and
+    # order, and two bool masks.
+    size = 200_000
+    gen = RngStream(3).generator()
+    stream = "".join(np.array(list("abcdefghij "))[gen.integers(0, 11, size)])
+    alphabet = np.array(sorted(map(ord, set(stream))))
+    rank = np.zeros(alphabet[-1] + 1, dtype=np.int32)
+    rank[alphabet] = np.arange(alphabet.size)
+    starts = np.arange(0, size - 3000, 1000)
+    args = (stream, rank, alphabet.size, 3, starts, starts + 2998)
+    ngramcluster._poem_grams(*args)
+    tracemalloc.start()
+    try:
+        ngramcluster._poem_grams(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * size
 
 
 class TestCosineDistance:

@@ -1,6 +1,8 @@
 """The runtime imports nothing outside the standard library and numpy."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +26,14 @@ def test_sources_import_only_stdlib_and_numpy():
             outside += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in allowed]
     assert outside == []
+
+
+def test_cli_import_loads_no_pool_modules():
+    # the bootstrap's threads come from threading, which numpy loads anyway;
+    # concurrent.futures or multiprocessing would lengthen every start-up
+    code = ("import sys, versemetry.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(versemetry.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -1,19 +1,24 @@
 """Unit and property tests for the statistical kernel."""
 
+import itertools
 import json
 import math
+import os
 import pathlib
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     P_PRINT_TOLERANCE,
     REFERENCE_TUPLES,
+    block_draws,
     loop_gof_stats,
     print_precision_preimage,
     two_draw_bootstrap_p,
@@ -143,6 +148,8 @@ def test_ols_fit_negative_correlation():
         max_size=40,
     )
 )
+# sxx * syy underflows to 0 although neither factor does
+@example(points=[(0.0, 0.0), (5.3766055059734485e-86, 5.3766055059734485e-86)])
 def test_ols_fit_r_bounded(points):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
@@ -378,20 +385,54 @@ def test_bootstrap_gof_statistic_runs():
     assert 0.0 < p_gof <= 1.0
 
 
-# the ids keep the names these cases had when an enum chose the statistic;
-# each case now reads its element of the (p_hom, p_gof) pair
-@pytest.mark.parametrize("which", [0, 1], ids=["BootstrapStat.HOMOGENEITY",
-                                               "BootstrapStat.GOF"])
-def test_bootstrap_p_independent_of_statistic_block(which, monkeypatch):
-    # a rare category leaves some replicate rows with a zero reference
-    # count, so the GOF merge rule runs inside the blocks too
+@pytest.mark.parametrize("workers, B", [(0, 3001), (1, 3001), (2, 3001),
+                                        (3, 3001), (15, 1000), (7, 40000)])
+def test_bootstrap_p_independent_of_worker_count(workers, B, monkeypatch):
+    # each block draws from its own substream, so the p-values do not depend
+    # on how many threads share the blocks; a block lost or scored twice
+    # would move them.  A rare category leaves some replicate rows with a
+    # zero reference count, so the GOF merge rule runs inside the blocks too.
     items, n_a, n_b = _pooled([40, 25, 9, 1], [30, 30, 12, 0])
-    ps = set()
-    for block in (1, 7, 1024, 5000):
-        monkeypatch.setattr(stats, "_STAT_BLOCK", block)
-        ps.add(bootstrap_null_p(items, n_a, n_b, 3.0, 3.0, 3001,
-                                RngStream(12))[which])
-    assert len(ps) == 1
+    want = two_draw_bootstrap_p(items, n_a, n_b, 3.0, 3.0, B, RngStream(12))
+    started = []
+
+    class Worker(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(os, "cpu_count", lambda: workers + 1)
+    monkeypatch.setattr(threading, "Thread", Worker)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = bootstrap_null_p(items, n_a, n_b, 3.0, 3.0, B, RngStream(12))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    # never more threads than blocks
+    assert len(started) == min(workers + 1, -(-B // 256)) - 1
+
+
+def test_bootstrap_block_exception_escapes_unchanged(monkeypatch):
+    items, n_a, n_b = _pooled([40, 25, 9, 1], [30, 30, 12, 0])
+    gof_stats = stats._gof_stats
+    calls = itertools.count()
+    raised = []
+
+    def third_call_fails(*args):
+        if next(calls) == 2:
+            raised.append(ValueError("third block"))
+            raise raised[0]
+        return gof_stats(*args)
+
+    monkeypatch.setattr(stats, "_gof_stats", third_call_fails)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as info:
+        bootstrap_null_p(items, n_a, n_b, 3.0, 3.0, 5000, RngStream(12))
+    assert info.value is raised[0]
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("counts_a, counts_b, seed", [
@@ -411,8 +452,8 @@ def test_bootstrap_matches_two_draw_reference(counts_a, counts_b, seed):
 
 
 def test_bootstrap_memory_below_one_int64_draw_matrix():
-    # group a is kept as int32 and group b drawn one row block at a time, so
-    # no (B, K) int64 matrix is ever allocated
+    # both groups are drawn one row block at a time, so no (B, K) int64
+    # matrix is ever allocated
     B, K = 100_000, 25
     items, n_a, n_b = _pooled(list(range(1, K + 1)), list(range(K, 0, -1)))
     tracemalloc.start()
@@ -422,6 +463,22 @@ def test_bootstrap_memory_below_one_int64_draw_matrix():
     finally:
         tracemalloc.stop()
     assert peak < B * K * np.dtype(np.int64).itemsize
+
+
+def test_bootstrap_memory_one_block_per_thread(monkeypatch):
+    # each thread holds one 256-row block at a time (about 0.35 MiB at
+    # K = 25), so two threads stay far below the 10.9 MiB that keeping
+    # group a for all B replicates took
+    B, K = 100_000, 25
+    items, n_a, n_b = _pooled(list(range(1, K + 1)), list(range(K, 0, -1)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tracemalloc.start()
+    try:
+        bootstrap_null_p(items, n_a, n_b, 30.0, 30.0, B, RngStream(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def _exact_gof(obs, ref):
@@ -435,28 +492,37 @@ def _exact_gof(obs, ref):
                for x, i in zip(o, covered))
 
 
-def test_gof_exceedance_differs_from_loop_only_at_exact_ties():
+def test_gof_exceedance_counts_exact_ties():
     # Sparse counts make replicate statistics that equal the observed one
     # exactly (1147/252 here), and floating-point sums put such a tie on
     # either side of it.  Every other replicate must fall on the side its
     # rational statistic puts it, for the vectorised merge and the row loop
-    # alike.
+    # alike, and the p-value must count the ties as reaching the observed
+    # statistic.
     counts_a = [3, 0, 1, 0, 2, 9, 1, 1]
     counts_b = [2, 1, 0, 1, 3, 7, 0, 0]
     items, n_a, n_b = _pooled(counts_a, counts_b)
     observed = _exact_gof(counts_b, counts_a)
     gof = chi2_gof(counts_b, counts_a).statistic
-    gen = RngStream(4).generator()
+    B = 4001
     probs = np.unique(items, return_counts=True)[1] / len(items)
-    a = gen.multinomial(n_a, probs, size=4001)
-    b = gen.multinomial(n_b, probs, size=4001)
+    a, b = block_draws(probs, n_a, n_b, B, RngStream(7))
     exact = [_exact_gof(o, r) for r, o in zip(a, b)]
     ties = np.array([x == observed for x in exact])
     above = np.array([x > observed for x in exact])
     assert ties.sum() > 1
-    for exceeds in (stats._gof_stats(a, b, n_a, n_b) >= gof,
-                    loop_gof_stats(a, b) >= gof):
+    kernel = stats._gof_stats(a, b, n_a, n_b) >= gof
+    loop = loop_gof_stats(a, b) >= gof
+    # the kernel puts some tie below the observed statistic, and the row loop
+    # puts another tie there, so only the tie rule makes the kernel count
+    # every tie, and count the same replicates as its reference
+    assert not kernel[ties].all()
+    assert not np.array_equal(kernel[ties], loop[ties])
+    for exceeds in (kernel, loop):
         assert np.array_equal(exceeds[~ties], above[~ties])
+    reached = int(ties.sum() + above.sum())
+    _, p_gof = bootstrap_null_p(items, n_a, n_b, 0.0, gof, B, RngStream(7))
+    assert p_gof == (1 + reached) / (B + 1)
 
 
 def test_bootstrap_string_items_match_two_draw_reference():
