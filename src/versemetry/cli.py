@@ -29,9 +29,14 @@ from .corpus import (
     Corpus,
     CorpusError,
     Poem,
+    build_poem,
+    corpus_files,
     filtered_line_numbers,
     parse_corpus,
+    read_json,
+    read_text,
     rolling_windows,
+    write_corpus,
 )
 from .errors import AnalysisError, InputError, VersemetryError
 from .figures import FigureKind, FigureSpec, render_figure
@@ -110,45 +115,37 @@ def _write_text(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
 
 
-def _write_json(path: Path, payload, sort_keys: bool = True) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=sort_keys,
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True,
                                  ensure_ascii=False) + "\n")
 
 
 def write_table(directory: Path, name: str, columns: Sequence[str],
-                rows: Iterable[Mapping[str, object]], fmt: str) -> None:
+                rows: Iterable[Sequence[object]], fmt: str) -> None:
+    """Write ``rows``, each a tuple of values in ``columns`` order."""
     path = directory / f"{name}.{fmt}"
     if fmt == "json":
-        _write_json(path, [{c: row.get(c) for c in columns} for row in rows])
+        _write_json(path, [dict(zip(columns, row)) for row in rows])
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
+        writer.writerows(map(_cell, row) for row in rows)
 
 
-def test_result_row(label: str, result: TestResult, **keys) -> dict:
-    """One TEST_COLUMNS row, plus ``keys`` naming what was tested."""
-    row = {column: getattr(result, column) for column in TEST_COLUMNS[2:]}
-    return {**row, "test": label, "method": result.method.value, **keys}
-
-
-def _hash_file(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+def test_result_row(label: str, result: TestResult, *keys) -> tuple:
+    """One row of ``keys`` naming what was tested, then TEST_COLUMNS."""
+    return (*keys, label, result.method.value, result.statistic, result.df,
+            result.p_value, result.n_obs, result.min_expected,
+            result.dropped_categories, result.merged_categories)
 
 
 def write_run_manifest(directory: Path, command: str, corpus_root: Path,
                        parameters: Mapping[str, object], seed: int) -> None:
-    manifest_path = corpus_root / "corpus.json"
-    inputs = {"corpus.json": _hash_file(manifest_path)}
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    for entry in manifest.get("poems", []):
-        for key in ("text", "scansion", "compounds"):
-            name = entry.get(key)
-            if name:
-                inputs[name] = _hash_file(corpus_root / name)
+    inputs = {name: "sha256:" + hashlib.sha256(
+        (corpus_root / name).read_bytes()).hexdigest()
+        for name in corpus_files(corpus_root)}
     _write_json(directory / "run.json", {
         "command": command,
         "parameters": dict(sorted(parameters.items())),
@@ -210,8 +207,8 @@ def _compound_rows(rows: list[str]) -> list[str]:
 
     Source rows may carry several lemmas after the line number; the canonical
     shape repeats the line number instead.  Rows without a recognizable lemma
-    pass through unchanged so the validation parse rejects them with a
-    precise message.
+    pass through unchanged so ``build_poem`` rejects them with a precise
+    message.
     """
     out = []
     for raw in rows:
@@ -226,6 +223,15 @@ def _compound_rows(rows: list[str]) -> list[str]:
     return out
 
 
+def _sidecar(path: Path, normalize=list) -> str | None:
+    """A source annotation file's rows, header dropped and passed through
+    ``normalize``, or ``None`` when the file is absent."""
+    if not path.is_file():
+        return None
+    return "\n".join(normalize(
+        _strip_header(read_text(path).splitlines(), "line")))
+
+
 def cmd_convert(args: argparse.Namespace) -> int:
     """Convert an external dataset directory into the canonical format.
 
@@ -234,50 +240,28 @@ def cmd_convert(args: argparse.Namespace) -> int:
     header row optional), optional ``<poem>.compounds.tsv`` (line followed by
     one or more lemmas; normalized to one lemma per row), and an optional
     ``parts.json`` mapping poem id to part ranges.  Everything else about the
-    source tree is ignored.
+    source tree is ignored.  Every poem is validated before the first file
+    is written, so a failed conversion writes nothing.
     """
     source = Path(args.dataset)
     if not source.is_dir():
         raise CorpusError(f"missing file: {source}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     parts_path = source / "parts.json"
-    parts_map = {}
-    if parts_path.is_file():
-        parts_map = json.loads(parts_path.read_text(encoding="utf-8"))
-
-    manifest: dict = {"poems": []}
+    parts_map = read_json(parts_path) if parts_path.is_file() else {}
+    if not isinstance(parts_map, dict):
+        raise CorpusError(
+            f"{parts_path}: expected an object mapping poem ids to parts")
     text_files = sorted(source.glob("*.txt"))
     if not text_files:
         raise CorpusError(f"no poem text files found under {source}")
-    for text_path in text_files:
-        poem_id = text_path.stem
-        lines = _convert_text_lines(text_path.read_text(encoding="utf-8"))
-        _write_text(out / f"{poem_id}.txt", "\n".join(lines) + "\n")
-        entry = {"id": poem_id, "text": f"{poem_id}.txt", "scansion": None,
-                 "compounds": None, "parts": None}
-        scansion_src = source / f"{poem_id}.scansion.tsv"
-        if scansion_src.is_file():
-            rows = _strip_header(
-                scansion_src.read_text(encoding="utf-8").splitlines(), "line")
-            _write_text(out / f"{poem_id}.scansion.tsv",
-                        "line\ta\tb\n" + "\n".join(rows) + "\n")
-            entry["scansion"] = f"{poem_id}.scansion.tsv"
-        compounds_src = source / f"{poem_id}.compounds.tsv"
-        if compounds_src.is_file():
-            rows = _strip_header(
-                compounds_src.read_text(encoding="utf-8").splitlines(), "line")
-            _write_text(out / f"{poem_id}.compounds.tsv",
-                        "line\tlemma\n" + "\n".join(_compound_rows(rows)) + "\n")
-            entry["compounds"] = f"{poem_id}.compounds.tsv"
-        if poem_id in parts_map:
-            entry["parts"] = parts_map[poem_id]
-        manifest["poems"].append(entry)
-    _write_json(out / "corpus.json", manifest, sort_keys=False)
-    # validation pass: any structural problem fails the conversion
-    parse_corpus(out)
-    print(f"converted {len(manifest['poems'])} poems into {out}")
+    poems = tuple(build_poem(
+        path.stem, "\n".join(_convert_text_lines(read_text(path))),
+        _sidecar(source / f"{path.stem}.scansion.tsv"),
+        _sidecar(source / f"{path.stem}.compounds.tsv", _compound_rows),
+        parts_map.get(path.stem)) for path in text_files)
+    out = Path(args.out)
+    write_corpus(Corpus(poems=poems), out)
+    print(f"converted {len(poems)} poems into {out}")
     return 0
 
 
@@ -290,19 +274,24 @@ def cmd_convert(args: argparse.Namespace) -> int:
 # builders below serve both the subcommands and ``report``.
 
 def _poem_ids(text: str | None) -> list[str] | None:
-    return text.split(",") if text else None
+    if not text:
+        return None
+    ids = text.split(",")
+    repeated = [pid for i, pid in enumerate(ids) if pid in ids[:i]]
+    if repeated:
+        raise InputError(f"--poems names poem {repeated[0]!r} more than once")
+    return ids
 
 
-def _ratio_rows(reports) -> list[dict]:
-    return [{"unit": r.unit_id, "intraline": r.intraline_count,
-             "final": r.final_count, "ratio": r.ratio} for r in reports]
+def _ratio_rows(reports) -> list[tuple]:
+    return [(r.unit_id, r.intraline_count, r.final_count, r.ratio)
+            for r in reports]
 
 
-def _syllable_row(poem: Poem, part: str | None) -> dict:
+def _syllable_row(poem: Poem, part: str | None) -> tuple:
     lines = (list(poem.lines) if part is None
              else [poem.line(i) for i in filtered_line_numbers(poem, part)])
-    return {"poem": poem.id, "part": part or "",
-            "mean_syllables": mean_syllables_per_line(lines)}
+    return poem.id, part or "", mean_syllables_per_line(lines)
 
 
 def cmd_sensepause(args: argparse.Namespace, corpus: Corpus) -> dict:
@@ -335,11 +324,10 @@ def _rolling_outputs(poem: Poem, rolling, granularity: str,
                      split_line: int | None) -> dict:
     """Rolling pattern proportions as a table and a stacked-area figure."""
     _check_window_fits(poem, rolling.width)
-    columns = ("start",) + tuple(rolling.series)
-    rows = [dict(zip(columns, values))
-            for values in zip(rolling.starts, *rolling.series.values())]
     return {
-        f"proportions-{poem.id}": (columns, rows),
+        f"proportions-{poem.id}": (
+            ("start",) + tuple(rolling.series),
+            list(zip(rolling.starts, *rolling.series.values()))),
         f"rolling-{poem.id}.svg": FigureSpec(
             kind=FigureKind.STACKED_AREA,
             series=tuple((label, tuple(zip(rolling.starts, values)))
@@ -373,14 +361,11 @@ def _split_outputs(table, poem_id: str, suffix: str = "") -> dict:
     logs = (("before", table.log_before), ("after", table.log_after))
     return {
         f"split-tests{suffix}": (SPLIT_COLUMNS, [
-            test_result_row(label, result, poem=poem_id,
-                            split_line=table.split_line)
+            test_result_row(label, result, poem_id, table.split_line)
             for label, result in tests]),
         f"pairing{suffix}": (PAIRING_COLUMNS, [
-            {"poem": poem_id, "section": section, "paired": log.paired,
-             "skipped_missing_a": log.skipped_missing_a,
-             "skipped_missing_b": log.skipped_missing_b,
-             "misalignment_warnings": log.misalignment_warnings}
+            (poem_id, section, log.paired, log.skipped_missing_a,
+             log.skipped_missing_b, log.misalignment_warnings)
             for section, log in logs]),
     }
 
@@ -396,14 +381,13 @@ def cmd_metre_independence(args: argparse.Namespace, corpus: Corpus) -> dict:
     poem = corpus.poem(args.poem)
     result = halves_independence_test(poem, args.first, args.last)
     return {f"independence-{poem.id}": (INDEPENDENCE_COLUMNS, [
-        test_result_row("halves_independence", result, poem=poem.id)])}
+        test_result_row("halves_independence", result, poem.id)])}
 
 
 def _incidence_fit_row(poem_id: str, pattern: str, granularity: str,
-                       fit) -> dict:
-    return {"poem": poem_id, "pattern": pattern, "granularity": granularity,
-            "slope": fit.slope, "intercept": fit.intercept, "r": fit.r,
-            "n": fit.n}
+                       fit) -> tuple:
+    return (poem_id, pattern, granularity, fit.slope, fit.intercept, fit.r,
+            fit.n)
 
 
 def cmd_metre_incidence(args: argparse.Namespace, corpus: Corpus) -> dict:
@@ -413,9 +397,7 @@ def cmd_metre_incidence(args: argparse.Namespace, corpus: Corpus) -> dict:
     fit = cumulative_incidence_r(poem, args.pattern, granularity)
     name = f"{poem.id}-{args.pattern}"
     return {
-        f"incidence-{name}": (("unit", "occurrence"),
-                              [{"unit": x, "occurrence": y}
-                               for x, y in points]),
+        f"incidence-{name}": (("unit", "occurrence"), points),
         f"incidence-fit-{name}": (INCIDENCE_FIT_COLUMNS, [_incidence_fit_row(
             poem.id, args.pattern, args.granularity, fit)]),
         f"incidence-{name}.svg": FigureSpec(
@@ -427,20 +409,16 @@ def cmd_metre_incidence(args: argparse.Namespace, corpus: Corpus) -> dict:
     }
 
 
-def _fit_row(unit: str, first: int, last: int, n_hapax: int, fit) -> dict:
-    return {"unit": unit, "first_line": first, "last_line": last,
-            "slope_per100": fit.slope * 100.0, "intercept": fit.intercept,
-            "r": fit.r, "n_hapax": n_hapax}
+def _fit_row(unit: str, first: int, last: int, n_hapax: int, fit) -> tuple:
+    return (unit, first, last, fit.slope * 100.0, fit.intercept, fit.r,
+            n_hapax)
 
 
 def _hapax_series_outputs(poem_id: str, series) -> dict:
-    """Cumulative hapax counts as a table and a scatter figure; the table's
-    rows, one per line, are built as they are written, since ``report``
-    holds every output until the run ends."""
+    """Cumulative hapax counts, one (line, count) row per line, as a table
+    and a scatter figure."""
     return {
-        f"series-{poem_id}": (("line", "cumulative"),
-                              ({"line": x, "cumulative": y}
-                               for x, y in series)),
+        f"series-{poem_id}": (("line", "cumulative"), series),
         f"hapax-{poem_id}.svg": FigureSpec(
             kind=FigureKind.SCATTER_FIT,
             series=((poem_id,
@@ -480,24 +458,22 @@ def cmd_hapax_segments(args: argparse.Namespace, corpus: Corpus) -> dict:
     units = [_parse_unit(corpus, spec) for spec in args.units]
     mode = SegmentMode(args.mode)
     unit_fits, combined = segment_fits(units, mode, index.hapax_set)
-    rows = []
-    for (poem, _, _), (series, fit) in zip(units, unit_fits):
-        (first, _), (last, n_hapax) = series[0], series[-1]
-        rows.append(_fit_row(f"{poem.id}:{first}-{last}", first, last,
-                             n_hapax, fit))
-    total_hapax = sum(row["n_hapax"] for row in rows)
-    total_lines = sum(row["last_line"] - row["first_line"] + 1 for row in rows)
+    # (first line, last line, hapax count) of each unit's series
+    spans = [(series[0][0], *series[-1]) for series, _ in unit_fits]
+    rows = [_fit_row(f"{poem.id}:{first}-{last}", first, last, n_hapax, fit)
+            for (poem, _, _), (first, last, n_hapax), (_, fit)
+            in zip(units, spans, unit_fits)]
+    total_hapax = sum(n_hapax for _, _, n_hapax in spans)
+    total_lines = sum(last - first + 1 for first, last, _ in spans)
     combined_span = (1, total_lines) if mode is SegmentMode.MERGE else (
-        min(r["first_line"] for r in rows), max(r["last_line"] for r in rows))
+        min(first for first, _, _ in spans), max(last for _, last, _ in spans))
     rows.append(_fit_row("combined", *combined_span, total_hapax, combined))
     return {f"segments-{args.mode}": (FIT_COLUMNS, rows)}
 
 
-def _pair_rows(scores) -> list[dict]:
-    return [{"poem_a": s.poem_a, "poem_b": s.poem_b,
-             "observed": s.observed_shared, "null_mean": s.null_mean,
-             "null_sd": s.null_sd, "z": s.z, "tail": s.empirical_tail}
-            for s in scores]
+def _pair_rows(scores) -> list[tuple]:
+    return [(s.poem_a, s.poem_b, s.observed_shared, s.null_mean, s.null_sd,
+             s.z, s.empirical_tail) for s in scores]
 
 
 def cmd_shared(args: argparse.Namespace, corpus: Corpus) -> dict:
@@ -547,17 +523,15 @@ def cmd_cluster_profiles(args: argparse.Namespace, corpus: Corpus) -> dict:
     windows = _cluster_windows(corpus, _poem_ids(args.poems), args.width,
                                args.step)
     profiles = build_profiles(corpus, windows, args.n, args.k)
-    rows = [{"sample": window_id(p.sample), **dict(zip(p.features, p.values))}
-            for p in profiles]
+    rows = [(window_id(p.sample), *p.values) for p in profiles]
     return {"features": (("sample",) + profiles[0].features, rows)}
 
 
 def cmd_cluster_dendrogram(args: argparse.Namespace, corpus: Corpus) -> dict:
     windows, dist, tree = _dendrogram(corpus, _poem_ids(args.poems),
                                       args.width, args.step, args.n, args.k)
-    rows = [{"sample": label,
-             **dict(zip(dist.labels, (float(v) for v in dist.values[i])))}
-            for i, label in enumerate(dist.labels)]
+    rows = [(label, *values)
+            for label, values in zip(dist.labels, dist.values.tolist())]
     return {"distances": (("sample",) + dist.labels, rows),
             **_dendrogram_outputs(windows, tree)}
 
@@ -577,7 +551,7 @@ def _sweep_outputs(poem: Poem, result, width: int) -> dict:
     """Per-window assignments, a summary and a strip figure of the sweep."""
     _check_window_fits(poem, width)
     rows = [
-        {"n": cell.n, "k": cell.k, "sample": sample, "cluster": label}
+        (cell.n, cell.k, sample, label)
         for cell in result.cells if cell.assignment is not None
         for sample, label in cell.assignment
     ]
@@ -610,20 +584,17 @@ def cmd_cluster_sweep(args: argparse.Namespace, corpus: Corpus) -> dict:
 
 # ---------------------------------------------------------------- report ----
 
-def _summary_row(poem: Poem) -> dict:
-    return {"poem": poem.id, "lines": poem.line_count,
-            "parts": "+".join(p.name for p in poem.parts),
-            "scanned_lines": sum(ln.a_pattern is not None
-                                 or ln.b_pattern is not None
-                                 for ln in poem.lines),
-            "compound_tokens": sum(len(ln.compounds) for ln in poem.lines)}
+def _summary_row(poem: Poem) -> tuple:
+    return (poem.id, poem.line_count, "+".join(p.name for p in poem.parts),
+            sum(ln.a_pattern is not None or ln.b_pattern is not None
+                for ln in poem.lines),
+            sum(len(ln.compounds) for ln in poem.lines))
 
 
-def _ttr_row(poem: Poem) -> dict:
+def _ttr_row(poem: Poem) -> tuple:
     ratio = type_token_ratio(poem)
     tokens = sum(len(ln.compounds) for ln in poem.lines)
-    return {"poem": poem.id, "tokens": tokens,
-            "types": round(ratio * tokens) if ratio else 0, "ttr": ratio}
+    return poem.id, tokens, round(ratio * tokens) if ratio else 0, ratio
 
 
 def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
@@ -663,7 +634,7 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
         return {"ratios": (RATIO_COLUMNS, rows),
                 "ttests": (("poem_a", "poem_b") + TEST_COLUMNS, [
                     test_result_row("intraline_ratio_t", result,
-                                    poem_a=poem_a, poem_b=poem_b)])}
+                                    poem_a, poem_b)])}
 
     def split_tests(poem: Poem):
         return _split_outputs(split_distribution_tests(
@@ -679,7 +650,7 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
     def independence(poem: Poem):
         result = halves_independence_test(poem, None, None)
         return {"independence": (INDEPENDENCE_COLUMNS, [
-            test_result_row("halves_independence", result, poem=poem.id)])}
+            test_result_row("halves_independence", result, poem.id)])}
 
     def incidence(poem: Poem):
         counts = pattern_counts(poem, Granularity.FULL_LINE)
@@ -732,13 +703,12 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
               ("cluster dendrogram", "(corpus)", dendrogram),
               ("cluster sweep", sweep_target.id, sweep)]
 
-    skipped: list[dict] = []
+    skipped: list[tuple] = []
     for analysis, unit, thunk in steps:
         try:
             step = _rendered(thunk())
         except AnalysisError as exc:
-            skipped.append({"analysis": analysis, "unit": unit,
-                            "reason": str(exc)})
+            skipped.append((analysis, unit, str(exc)))
             continue
         for name, value in step.items():
             key = f"{analysis.split()[0]}/{name}"

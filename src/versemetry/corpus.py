@@ -1,10 +1,14 @@
 """Parsing, validation, and windowing of annotated verse corpora.
 
-A corpus lives in a directory with a ``corpus.json`` manifest naming each
-poem's text file plus optional scansion and compound annotation files.  The
-text format is one verse line per file line, a-verse and b-verse separated by
-a single TAB (empty b-verse allowed).  Scansion rows carry labels A-E or ``-``
-for a missing half; compound rows carry one lemma occurrence per row.
+This is the only module that knows the on-disk format.  A corpus directory
+holds a ``corpus.json`` manifest naming each poem's text file, optional
+scansion and compound annotation files, and optional part ranges.  The text
+format is one verse line per file line, a-verse and b-verse separated by a
+single TAB (empty b-verse allowed); a poem has at least one line.  Scansion
+rows carry labels A-E or ``-`` for a missing half; compound rows carry one
+lemma occurrence per row.  ``build_poem`` validates one poem from the
+contents of its files; a malformed, missing or undecodable input is a
+``CorpusError``.
 
 Parsed values are immutable and safe to share across threads.  Raw half-line
 text is preserved exactly as read; all classification happens downstream.
@@ -15,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .errors import AnalysisError, CorpusError, InputError
 
@@ -26,7 +30,11 @@ __all__ = [
     "Poem",
     "SampleWindow",
     "Corpus",
+    "read_text",
+    "read_json",
+    "build_poem",
     "parse_corpus",
+    "corpus_files",
     "write_corpus",
     "partition_samples",
     "resolve_line_range",
@@ -37,6 +45,7 @@ SCANSION_LABELS = frozenset("ABCDE")
 
 _SCANSION_HEADER = "line\ta\tb"
 _COMPOUND_HEADER = "line\tlemma"
+_FILE_KEYS = ("text", "scansion", "compounds")
 
 
 @dataclass(frozen=True)
@@ -121,19 +130,63 @@ class Corpus:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _read_text_lines(path: Path, poem_id: str) -> list[tuple[str, str]]:
+def read_text(path: Path) -> str:
+    """A UTF-8 file's text; a missing or undecodable file is a CorpusError."""
+    if not path.is_file():
+        raise CorpusError(f"missing file: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text: {exc}")
+
+
+def read_json(path: Path):
+    """A JSON file's value; a missing, undecodable or malformed file is a
+    CorpusError."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: invalid JSON: {exc}")
+
+
+def _verse_halves(text: str, poem_id: str) -> list[tuple[str, str]]:
     halves = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         fields = raw.split("\t")
-        if len(fields) == 1:
-            halves.append((fields[0], ""))
-        elif len(fields) == 2:
-            halves.append((fields[0], fields[1]))
-        else:
+        if len(fields) > 2:
             raise CorpusError(
                 f"poem {poem_id}: line {lineno}: more than one TAB in verse line"
             )
+        halves.append((fields[0], fields[1] if len(fields) == 2 else ""))
+    if not halves:
+        raise CorpusError(f"poem {poem_id}: no verse lines")
     return halves
+
+
+def _annotation_rows(text: str, header: str, kind: str, poem_id: str,
+                     line_count: int) -> Iterator[tuple[int, list[str]]]:
+    """Line number and fields of each non-blank row of a scansion or
+    compound file.  The header row is optional; a row has as many fields as
+    the header, the last one not empty."""
+    body = text.splitlines()
+    if body and body[0] == header:
+        body = body[1:]
+    width = header.count("\t") + 1
+    for raw in body:
+        if not raw.strip():
+            continue
+        fields = raw.split("\t")
+        if len(fields) != width or not fields[-1]:
+            raise CorpusError(f"poem {poem_id}: bad {kind} row {raw!r}")
+        try:
+            lineno = int(fields[0])
+        except ValueError:
+            raise CorpusError(
+                f"poem {poem_id}: bad {kind} line number {fields[0]!r}")
+        if not 1 <= lineno <= line_count:
+            raise CorpusError(
+                f"poem {poem_id}: {kind} references missing line {lineno}")
+        yield lineno, fields
 
 
 def _parse_label(token: str, poem_id: str, lineno: int) -> str | None:
@@ -146,61 +199,11 @@ def _parse_label(token: str, poem_id: str, lineno: int) -> str | None:
     )
 
 
-def _read_scansion(path: Path, poem_id: str, line_count: int
-                   ) -> dict[int, tuple[str | None, str | None]]:
-    rows: dict[int, tuple[str | None, str | None]] = {}
-    body = path.read_text(encoding="utf-8").splitlines()
-    if body and body[0] == _SCANSION_HEADER:
-        body = body[1:]
-    for raw in body:
-        if not raw.strip():
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 3:
-            raise CorpusError(f"poem {poem_id}: bad scansion row {raw!r}")
-        try:
-            lineno = int(fields[0])
-        except ValueError:
-            raise CorpusError(f"poem {poem_id}: bad scansion line number {fields[0]!r}")
-        if not 1 <= lineno <= line_count:
-            raise CorpusError(
-                f"poem {poem_id}: scansion references missing line {lineno}"
-            )
-        if lineno in rows:
-            raise CorpusError(f"poem {poem_id}: duplicate scansion row for line {lineno}")
-        rows[lineno] = (
-            _parse_label(fields[1], poem_id, lineno),
-            _parse_label(fields[2], poem_id, lineno),
-        )
-    return rows
-
-
-def _read_compounds(path: Path, poem_id: str, line_count: int) -> dict[int, list[str]]:
-    rows: dict[int, list[str]] = {}
-    body = path.read_text(encoding="utf-8").splitlines()
-    if body and body[0] == _COMPOUND_HEADER:
-        body = body[1:]
-    for raw in body:
-        if not raw.strip():
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 2 or not fields[1]:
-            raise CorpusError(f"poem {poem_id}: bad compound row {raw!r}")
-        try:
-            lineno = int(fields[0])
-        except ValueError:
-            raise CorpusError(f"poem {poem_id}: bad compound line number {fields[0]!r}")
-        if not 1 <= lineno <= line_count:
-            raise CorpusError(
-                f"poem {poem_id}: compound references missing line {lineno}"
-            )
-        rows.setdefault(lineno, []).append(fields[1])
-    return rows
-
-
 def _validate_parts(raw_parts, poem_id: str, line_count: int) -> tuple[PartRange, ...]:
     if not raw_parts:
         return (PartRange(poem_id, 1, line_count),)
+    if not isinstance(raw_parts, list):
+        raise CorpusError(f"poem {poem_id}: parts must be a list, not {raw_parts!r}")
     parts = []
     for entry in raw_parts:
         try:
@@ -225,30 +228,45 @@ def _validate_parts(raw_parts, poem_id: str, line_count: int) -> tuple[PartRange
     return tuple(parts)
 
 
-def _require_file(root: Path, name: str) -> Path:
-    path = root / name
-    if not path.is_file():
-        raise CorpusError(f"missing file: {path}")
-    return path
+def build_poem(poem_id: str, text: str, scansion: str | None,
+               compounds: str | None, parts) -> Poem:
+    """Validate one poem from the contents of its files.
+
+    ``text`` is the verse text, ``scansion`` and ``compounds`` the
+    annotation files' text (``None`` when the poem has none) and ``parts``
+    the manifest's part list (``None`` for one part spanning the poem).
+    """
+    halves = _verse_halves(text, poem_id)
+    n = len(halves)
+    patterns: dict[int, tuple[str | None, str | None]] = {}
+    for lineno, (_, a, b) in _annotation_rows(
+            scansion or "", _SCANSION_HEADER, "scansion", poem_id, n):
+        if lineno in patterns:
+            raise CorpusError(f"poem {poem_id}: duplicate scansion row for line {lineno}")
+        patterns[lineno] = (_parse_label(a, poem_id, lineno),
+                            _parse_label(b, poem_id, lineno))
+    lemmas: dict[int, list[str]] = {}
+    for lineno, (_, lemma) in _annotation_rows(
+            compounds or "", _COMPOUND_HEADER, "compound", poem_id, n):
+        lemmas.setdefault(lineno, []).append(lemma)
+    lines = tuple([
+        VerseLine(i, a_text, b_text, *patterns.get(i, (None, None)),
+                  tuple(lemmas.get(i, ())))
+        for i, (a_text, b_text) in enumerate(halves, 1)])
+    return Poem(id=poem_id, lines=lines,
+                parts=_validate_parts(parts, poem_id, n))
 
 
-def parse_corpus(root_path: str | Path) -> Corpus:
-    """Parse and validate the corpus rooted at ``root_path``."""
-    root = Path(root_path)
+def _manifest_entries(root: Path) -> Iterator[tuple[str, dict, object]]:
+    """Each poem's id, declared file names and raw part list, in manifest
+    order; the file names are checked, not read."""
     manifest_path = root / "corpus.json"
-    if not manifest_path.is_file():
-        raise CorpusError(f"missing file: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{manifest_path}: invalid JSON: {exc}")
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("poems"), list):
         raise CorpusError(f'{manifest_path}: expected an object with a "poems" list')
-
-    poems = []
     seen_ids = set()
     for entry in manifest["poems"]:
-        poem_id = entry.get("id")
+        poem_id = entry.get("id") if isinstance(entry, dict) else None
         if not poem_id or not isinstance(poem_id, str):
             raise CorpusError(f"{manifest_path}: poem entry without id: {entry!r}")
         if poem_id in seen_ids:
@@ -256,30 +274,31 @@ def parse_corpus(root_path: str | Path) -> Corpus:
         seen_ids.add(poem_id)
         if not entry.get("text"):
             raise CorpusError(f"poem {poem_id}: no text file declared")
+        files = {key: entry.get(key) or None for key in _FILE_KEYS}
+        for key, name in files.items():
+            if name is not None and not isinstance(name, str):
+                raise CorpusError(
+                    f"poem {poem_id}: {key} file name must be a string, not {name!r}")
+        yield poem_id, files, entry.get("parts")
 
-        halves = _read_text_lines(_require_file(root, entry["text"]), poem_id)
-        n = len(halves)
-        scansion: dict[int, tuple[str | None, str | None]] = {}
-        if entry.get("scansion"):
-            scansion = _read_scansion(_require_file(root, entry["scansion"]), poem_id, n)
-        compounds: dict[int, list[str]] = {}
-        if entry.get("compounds"):
-            compounds = _read_compounds(
-                _require_file(root, entry["compounds"]), poem_id, n)
 
-        lines = []
-        for i, (a_text, b_text) in enumerate(halves, 1):
-            a_pat, b_pat = scansion.get(i, (None, None))
-            lines.append(VerseLine(
-                index=i,
-                a_text=a_text,
-                b_text=b_text,
-                a_pattern=a_pat,
-                b_pattern=b_pat,
-                compounds=tuple(compounds.get(i, ())),
-            ))
-        parts = _validate_parts(entry.get("parts"), poem_id, n)
-        poems.append(Poem(id=poem_id, lines=tuple(lines), parts=parts))
+def corpus_files(root_path: str | Path) -> list[str]:
+    """Names of the manifest and of every file it declares, relative to
+    ``root_path``."""
+    return ["corpus.json"] + [
+        name for _, files, _ in _manifest_entries(Path(root_path))
+        for name in files.values() if name is not None]
+
+
+def parse_corpus(root_path: str | Path) -> Corpus:
+    """Parse and validate the corpus rooted at ``root_path``."""
+    root = Path(root_path)
+    poems = []
+    for poem_id, files, parts in _manifest_entries(root):
+        text, scansion, compounds = (
+            None if name is None else read_text(root / name)
+            for name in files.values())
+        poems.append(build_poem(poem_id, text, scansion, compounds, parts))
     return Corpus(poems=tuple(poems))
 
 
@@ -290,48 +309,30 @@ def write_corpus(corpus: Corpus, root_path: str | Path) -> None:
     """
     root = Path(root_path)
     root.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"poems": []}
+    entries = []
     for poem in corpus.poems:
-        text_name = f"{poem.id}.txt"
-        (root / text_name).write_text(
+        entry = {"id": poem.id, "text": f"{poem.id}.txt"}
+        (root / entry["text"]).write_text(
             "".join(f"{ln.a_text}\t{ln.b_text}\n" for ln in poem.lines),
-            encoding="utf-8",
-        )
-
-        scansion_name = None
-        scansion_rows = [
-            f"{ln.index}\t{ln.a_pattern or '-'}\t{ln.b_pattern or '-'}\n"
-            for ln in poem.lines
-            if ln.a_pattern or ln.b_pattern
-        ]
-        if scansion_rows:
-            scansion_name = f"{poem.id}.scansion.tsv"
-            (root / scansion_name).write_text(
-                _SCANSION_HEADER + "\n" + "".join(scansion_rows), encoding="utf-8")
-
-        compounds_name = None
-        compound_rows = [
-            f"{ln.index}\t{lemma}\n"
-            for ln in poem.lines
-            for lemma in ln.compounds
-        ]
-        if compound_rows:
-            compounds_name = f"{poem.id}.compounds.tsv"
-            (root / compounds_name).write_text(
-                _COMPOUND_HEADER + "\n" + "".join(compound_rows), encoding="utf-8")
-
-        manifest["poems"].append({
-            "id": poem.id,
-            "text": text_name,
-            "scansion": scansion_name,
-            "compounds": compounds_name,
-            "parts": [
-                {"name": p.name, "first": p.first, "last": p.last}
-                for p in poem.parts
-            ],
-        })
+            encoding="utf-8")
+        annotations = (
+            ("scansion", _SCANSION_HEADER,
+             [f"{ln.index}\t{ln.a_pattern or '-'}\t{ln.b_pattern or '-'}\n"
+              for ln in poem.lines if ln.a_pattern or ln.b_pattern]),
+            ("compounds", _COMPOUND_HEADER,
+             [f"{ln.index}\t{lemma}\n"
+              for ln in poem.lines for lemma in ln.compounds]))
+        for key, header, rows in annotations:
+            entry[key] = f"{poem.id}.{key}.tsv" if rows else None
+            if rows:
+                (root / entry[key]).write_text(
+                    header + "\n" + "".join(rows), encoding="utf-8")
+        entry["parts"] = [{"name": p.name, "first": p.first, "last": p.last}
+                          for p in poem.parts]
+        entries.append(entry)
     (root / "corpus.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=1) + "\n", encoding="utf-8")
+        json.dumps({"poems": entries}, ensure_ascii=False, indent=1) + "\n",
+        encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -357,30 +358,16 @@ def partition_samples(poem: Poem, sample_len: int,
     """
     if sample_len < 1:
         raise InputError("sample_len must be at least 1")
-    if line_filter is None:
-        total = poem.line_count
-        windows = []
-        for start in range(1, total - sample_len + 2, sample_len):
-            end = start + sample_len - 1
-            windows.append(SampleWindow(
-                source=poem.id,
-                first_line=start,
-                last_line=end,
-                composition=_composition(poem, start, end),
-            ))
-        return windows
-
-    if line_filter not in poem.part_names():
-        raise CorpusError(f"poem {poem.id}: no part named {line_filter!r}")
-    filtered_total = sum(
-        p.last - p.first + 1 for p in poem.parts if p.name == line_filter)
+    total = len(filtered_line_numbers(poem, line_filter))
     windows = []
-    for start in range(1, filtered_total - sample_len + 2, sample_len):
+    for start in range(1, total - sample_len + 2, sample_len):
+        end = start + sample_len - 1
         windows.append(SampleWindow(
             source=poem.id,
             first_line=start,
-            last_line=start + sample_len - 1,
-            composition={line_filter: sample_len},
+            last_line=end,
+            composition=_composition(poem, start, end) if line_filter is None
+            else {line_filter: sample_len},
         ))
     return windows
 

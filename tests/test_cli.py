@@ -131,6 +131,59 @@ def test_shared_unknown_poem_is_one_error_line(corpus_dir, tmp_path, capsys,
     assert not (tmp_path / "out" / "shared" / "pairs.csv").exists()
 
 
+@pytest.mark.parametrize("argv,repeated", [
+    (["shared", "--poems", "alpha,alpha,beta"], "alpha"),
+    (["cluster", "dendrogram", "--poems", "beta,alpha,beta"], "beta"),
+    (["cluster", "profiles", "--poems", "alpha,alpha"], "alpha"),
+], ids=["shared", "cluster-dendrogram", "cluster-profiles"])
+def test_repeated_poem_id_is_one_error_line(corpus_dir, tmp_path, capsys,
+                                            argv, repeated):
+    code = dispatch([*argv, "--corpus", str(corpus_dir),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --poems names poem {repeated!r} more than once\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _corpus_copy(corpus_dir, root):
+    root.mkdir()
+    for path in corpus_dir.iterdir():
+        (root / path.name).write_bytes(path.read_bytes())
+    return root
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda root: (root / "corpus.json").write_text('{"poems": [1]}'),
+     "poem entry without id: 1"),
+    (lambda root: (root / "corpus.json").write_text(
+        '{"poems": [{"id": "alpha", "text": 5}]}'),
+     "poem alpha: text file name must be a string, not 5"),
+    (lambda root: (root / "corpus.json").write_text(
+        '{"poems": [{"id": "alpha", "text": "alpha.txt", "parts": 3}]}'),
+     "poem alpha: parts must be a list, not 3"),
+    (lambda root: (root / "beta.txt").write_bytes(b"\xe6\tb\n"),
+     "beta.txt: not UTF-8 text"),
+    (lambda root: (root / "beta.compounds.tsv").write_bytes(b"1\t\xe6\n"),
+     "beta.compounds.tsv: not UTF-8 text"),
+], ids=["entry-not-object", "text-not-string", "parts-not-list",
+        "text-not-utf8", "sidecar-not-utf8"])
+@pytest.mark.parametrize("argv", [
+    ["shared"], ["metre", "independence", "--poem", "alpha"], ["report"]],
+    ids=["shared", "metre-independence", "report"])
+def test_malformed_corpus_is_one_error_line(corpus_dir, tmp_path, capsys,
+                                            edit, message, argv):
+    root = _corpus_copy(corpus_dir, tmp_path / "corpus")
+    edit(root)
+    code = dispatch([*argv, "--corpus", str(root),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("split_line", ["-5", "0", "700", "701"])
 def test_rolling_split_line_outside_poem(corpus_dir, tmp_path, capsys,
                                          split_line):
@@ -228,6 +281,66 @@ def test_convert_round_trip(tmp_path, capsys):
     assert one.part_names() == ("head", "tail")
     two = corpus.poem("two")
     assert two.line(1).compounds == ("felahror",)
+
+
+def test_convert_pins_poems_and_manifest(tmp_path):
+    dataset, out = tmp_path / "dataset", tmp_path / "canonical"
+    make_dataset(dataset)
+    assert dispatch(["convert", str(dataset), "--out", str(out)]) == 0
+    one = Poem(id="one", lines=(
+        VerseLine(1, "Hwaet we gardena", "in geardagum.", "A", "B"),
+        VerseLine(2, "threatum monegum", "maegtha gehwaes;"),
+        VerseLine(3, "orphan verse line", "", "C", None),
+    ), parts=(PartRange("head", 1, 2), PartRange("tail", 3, 3)))
+    two = Poem(id="two", lines=(
+        VerseLine(1, "felahror feran", "on frean waere.",
+                  compounds=("felahror",)),
+    ), parts=(PartRange("two", 1, 1),))
+    assert parse_corpus(out) == build_corpus(one, two)
+    # the manifest is written by write_corpus: indent 1, parts explicit
+    assert (out / "corpus.json").read_text(encoding="utf-8") == json.dumps(
+        {"poems": [
+            {"id": "one", "text": "one.txt", "scansion": "one.scansion.tsv",
+             "compounds": None,
+             "parts": [{"name": "head", "first": 1, "last": 2},
+                       {"name": "tail", "first": 3, "last": 3}]},
+            {"id": "two", "text": "two.txt", "scansion": None,
+             "compounds": "two.compounds.tsv",
+             "parts": [{"name": "two", "first": 1, "last": 1}]}]},
+        indent=1) + "\n"
+
+
+def _bad_dataset(root, name, content):
+    make_dataset(root)
+    path = root / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,content,message", [
+    ("zzz.txt", "a\tb\tc\n",
+     "poem zzz: line 1: more than one TAB in verse line"),
+    ("zzz.txt", "", "poem zzz: no verse lines"),
+    ("two.txt", b"felahror \xe6\tferan\n", "two.txt: not UTF-8 text"),
+    ("one.scansion.tsv", b"1\t\xc1\tB\n", "one.scansion.tsv: not UTF-8 text"),
+    ("two.compounds.tsv", "1\n", "poem two: bad compound row '1'"),
+    ("parts.json", "{\"one\": [", "parts.json: invalid JSON"),
+    ("parts.json", "[]", "parts.json: expected an object mapping poem ids"),
+    ("parts.json", '{"two": 3}', "poem two: parts must be a list, not 3"),
+], ids=["double-tab", "empty-text", "text-not-utf8", "sidecar-not-utf8",
+        "compound-without-lemma", "parts-bad-json", "parts-not-object",
+        "parts-not-list"])
+def test_failing_convert_writes_nothing(tmp_path, capsys, name, content,
+                                        message):
+    dataset, out = tmp_path / "dataset", tmp_path / "canonical"
+    _bad_dataset(dataset, name, content)
+    assert dispatch(["convert", str(dataset), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
 
 
 def test_convert_headerless_scansion(tmp_path):

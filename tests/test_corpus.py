@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 from helpers import build_corpus, build_poem, write_manifest, write_simple_poem_files
 from versemetry.corpus import (
+    Corpus,
     PartRange,
+    Poem,
     SampleWindow,
+    corpus_files,
     filtered_line_numbers,
     parse_corpus,
     partition_samples,
@@ -165,6 +168,47 @@ def test_parse_rejects_duplicate_scansion_row(tmp_path):
         parse_corpus(tmp_path)
 
 
+@pytest.mark.parametrize("entry,message", [
+    ({"id": "p", "text": "p.txt", "scansion": ["a"]},
+     r"poem p: scansion file name must be a string, not \['a'\]"),
+    ({"id": "p", "text": "p.txt", "parts": ["A"]},
+     "poem p: malformed part entry 'A'"),
+], ids=["scansion-not-string", "part-not-object"])
+def test_parse_rejects_malformed_manifest_entry(tmp_path, entry, message):
+    write_simple_poem_files(tmp_path, "p", ["a\tb"])
+    write_manifest(tmp_path, [entry])
+    with pytest.raises(CorpusError, match=message):
+        parse_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("content,message", [
+    (b'{"poems": [', "corpus.json: invalid JSON"),
+    (b'{"poems": "\xff"}', "corpus.json: not UTF-8 text"),
+], ids=["bad-json", "not-utf8"])
+def test_parse_rejects_unreadable_manifest(tmp_path, content, message):
+    (tmp_path / "corpus.json").write_bytes(content)
+    with pytest.raises(CorpusError, match=message):
+        parse_corpus(tmp_path)
+
+
+def test_parse_rejects_empty_poem_text(tmp_path):
+    entry = write_simple_poem_files(tmp_path, "p", ["a\tb"])
+    write_manifest(tmp_path, [entry])
+    (tmp_path / "p.txt").write_text("", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^poem p: no verse lines$"):
+        parse_corpus(tmp_path)
+
+
+def test_corpus_files_lists_declared_files(tmp_path):
+    write_manifest(tmp_path, [
+        write_simple_poem_files(tmp_path, "p", ["a\tb"],
+                                compound_rows=["1\tlemma"]),
+        write_simple_poem_files(tmp_path, "q", ["a\tb"],
+                                scansion_rows=["1\tA\tB"])])
+    assert corpus_files(tmp_path) == [
+        "corpus.json", "p.txt", "p.compounds.tsv", "q.txt", "q.scansion.tsv"]
+
+
 def test_round_trip(tmp_path):
     def patterns(i):
         if i % 3 == 0:
@@ -182,6 +226,12 @@ def test_round_trip(tmp_path):
     write_corpus(corpus, tmp_path / "out")
     again = parse_corpus(tmp_path / "out")
     assert again == corpus
+
+    # a poem without lines cannot be parsed, so its copy does not re-parse
+    empty = Poem(id="b", lines=(), parts=(PartRange("b", 1, 0),))
+    write_corpus(Corpus(poems=(poem2, empty)), tmp_path / "empty")
+    with pytest.raises(CorpusError, match="^poem b: no verse lines$"):
+        parse_corpus(tmp_path / "empty")
 
 
 def test_poem_line_accessor_bounds():
@@ -238,6 +288,26 @@ def test_partition_rejects_unknown_part():
 def test_partition_rejects_bad_sample_len():
     with pytest.raises(ValueError):
         partition_samples(build_poem("p", 10), 0)
+    # the length is checked before the part name
+    with pytest.raises(ValueError, match="sample_len must be at least 1"):
+        partition_samples(build_poem("p", 10), 0, line_filter="Z")
+
+
+@given(n=st.integers(min_value=1, max_value=60),
+       split=st.integers(min_value=0, max_value=60),
+       sample_len=st.integers(min_value=1, max_value=25))
+def test_partition_filter_windows_index_the_filtered_lines(n, split,
+                                                           sample_len):
+    split = min(split, n - 1)
+    parts = ((PartRange("A", 1, split),) if split else ()) + (
+        PartRange("B", split + 1, n),)
+    poem = build_poem("p", n, parts=parts)
+    for name in poem.part_names():
+        count = sum(p.last - p.first + 1 for p in parts if p.name == name)
+        assert partition_samples(poem, sample_len, line_filter=name) == [
+            SampleWindow("p", start, start + sample_len - 1,
+                         {name: sample_len})
+            for start in range(1, count - sample_len + 2, sample_len)]
 
 
 def test_rolling_windows_spacing():
