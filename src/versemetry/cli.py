@@ -403,7 +403,7 @@ def cmd_metre_incidence(args: argparse.Namespace, corpus: Corpus) -> dict:
         f"incidence-{name}.svg": FigureSpec(
             kind=FigureKind.SCATTER_FIT,
             series=((args.pattern,
-                     tuple((float(x), float(y)) for x, y in points)),),
+                     tuple((float(x), float(y)) for x, y in points), fit),),
             title=f"{poem.id}: cumulative incidence of {args.pattern}",
             x_label="unit index", y_label="occurrence number"),
     }
@@ -414,15 +414,15 @@ def _fit_row(unit: str, first: int, last: int, n_hapax: int, fit) -> tuple:
             n_hapax)
 
 
-def _hapax_series_outputs(poem_id: str, series) -> dict:
+def _hapax_series_outputs(poem_id: str, series, fit) -> dict:
     """Cumulative hapax counts, one (line, count) row per line, as a table
-    and a scatter figure."""
+    and a scatter figure with their fit."""
     return {
         f"series-{poem_id}": (("line", "cumulative"), series),
         f"hapax-{poem_id}.svg": FigureSpec(
             kind=FigureKind.SCATTER_FIT,
             series=((poem_id,
-                     tuple((float(x), float(y)) for x, y in series)),),
+                     tuple((float(x), float(y)) for x, y in series), fit),),
             title=f"{poem_id}: cumulative hapax compounds",
             x_label="line", y_label="cumulative hapax count"),
     }
@@ -433,7 +433,7 @@ def cmd_hapax_fit(args: argparse.Namespace, corpus: Corpus) -> dict:
     index = build_compound_index(corpus)
     series, fit = hapax_cumulative_fit(poem, index.hapax_set, args.first,
                                        args.last)
-    return {**_hapax_series_outputs(poem.id, series),
+    return {**_hapax_series_outputs(poem.id, series, fit),
             f"fit-{poem.id}": (FIT_COLUMNS, [
                 _fit_row(poem.id, series[0][0], series[-1][0], series[-1][1],
                          fit)])}
@@ -586,8 +586,7 @@ def cmd_cluster_sweep(args: argparse.Namespace, corpus: Corpus) -> dict:
 
 def _summary_row(poem: Poem) -> tuple:
     return (poem.id, poem.line_count, "+".join(p.name for p in poem.parts),
-            sum(ln.a_pattern is not None or ln.b_pattern is not None
-                for ln in poem.lines),
+            int((poem.scansion_codes >= 0).any(axis=1).sum()),
             sum(len(ln.compounds) for ln in poem.lines))
 
 
@@ -622,8 +621,7 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
                for poem in corpus.poems}
     tested: set[str] = set()
     index = build_compound_index(corpus)
-    compound_poems = [p.id for p in corpus.poems
-                      if any(ln.compounds for ln in p.lines)]
+    compound_poems = [pid for pid, tokens in index.totals.items() if tokens]
     sweep_target = max(corpus.poems, key=lambda p: (p.line_count, p.id))
 
     def ttest(poem_a: str, poem_b: str):
@@ -665,7 +663,7 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
         series, fit = hapax_cumulative_fit(poem, index.hapax_set)
         row = _fit_row(poem.id, 1, poem.line_count, series[-1][1], fit)
         return {"fits": (FIT_COLUMNS, [row]),
-                **_hapax_series_outputs(poem.id, series)}
+                **_hapax_series_outputs(poem.id, series, fit)}
 
     def shared():
         if len(compound_poems) < 2:
@@ -694,8 +692,7 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
     steps = [("sensepause", f"{a.id}/{b.id}", partial(ttest, a.id, b.id))
              for i, a in enumerate(corpus.poems) for b in corpus.poems[i + 1:]]
     steps += [(f"metre {name}", poem.id, partial(thunk, poem))
-              for poem in corpus.poems
-              if any(ln.a_pattern or ln.b_pattern for ln in poem.lines)
+              for poem in corpus.poems if (poem.scansion_codes >= 0).any()
               for name, thunk in metre.items()]
     steps += [("hapax fit", poem.id, partial(hapax_fit, poem))
               for poem in corpus.poems]

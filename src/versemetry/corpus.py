@@ -12,14 +12,19 @@ contents of its files; a malformed, missing or undecodable input is a
 
 Parsed values are immutable and safe to share across threads.  Raw half-line
 text is preserved exactly as read; all classification happens downstream.
+A poem's one derived value, ``Poem.scansion_codes``, is its labels as a
+read-only array, decoded on first use and shared by every analysis.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .errors import AnalysisError, CorpusError, InputError
 
@@ -46,6 +51,8 @@ SCANSION_LABELS = frozenset("ABCDE")
 _SCANSION_HEADER = "line\ta\tb"
 _COMPOUND_HEADER = "line\tlemma"
 _FILE_KEYS = ("text", "scansion", "compounds")
+_LABEL_CODES = {None: -1, **{label: code for code, label
+                             in enumerate(sorted(SCANSION_LABELS))}}
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,16 @@ class Poem:
     @property
     def line_count(self) -> int:
         return len(self.lines)
+
+    @cached_property
+    def scansion_codes(self) -> np.ndarray:
+        """Read-only (line_count, 2) int64 codes of each line's a and b
+        halves: labels A-E are 0-4 and an unscanned half is -1."""
+        codes = np.array([[_LABEL_CODES[ln.a_pattern] for ln in self.lines],
+                          [_LABEL_CODES[ln.b_pattern] for ln in self.lines]],
+                         dtype=np.int64).T.copy()
+        codes.flags.writeable = False
+        return codes
 
     def line(self, index: int) -> VerseLine:
         """Fetch a line by its 1-based editorial number."""

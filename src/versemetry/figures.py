@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .errors import AnalysisError
 from .ngramcluster import Dendrogram, leaf_members
-from .stats import ols_fit
 
 __all__ = ["FigureKind", "FigureSpec", "render_figure"]
 
@@ -39,8 +38,19 @@ class FigureKind(Enum):
 
 @dataclass(frozen=True)
 class FigureSpec:
+    """A figure's kind and its series, whose entries each kind reads so:
+
+    ``SCATTER_FIT``: ``(label, points, fit)``; the analysis's fit of the
+    (x, y) points, anything with a ``slope`` and an ``intercept``, is drawn
+    across their x range.  ``STACKED_AREA``: ``(label, points)``, all over
+    the same x values.  ``DENDROGRAM``: ``("tree", Dendrogram)``, then
+    optionally ``("sublabels", labels)``, one label per leaf.
+    ``SWEEP_STRIP``: ``(row label, values)``, a value a cluster index or
+    ``None`` for an absent cell.
+    """
+
     kind: FigureKind
-    series: tuple[tuple[str, object], ...]
+    series: tuple[tuple, ...]
     title: str = ""
     x_label: str = ""
     y_label: str = ""
@@ -122,19 +132,15 @@ class _Scale:
                 for i in range(count)]
 
 
-def _frame(canvas: _Canvas, spec: FigureSpec, xs: _Scale, ys: _Scale) -> None:
-    canvas.line(MARGIN_L, MARGIN_T + PLOT_H, MARGIN_L + PLOT_W,
-                MARGIN_T + PLOT_H)
-    canvas.line(MARGIN_L, MARGIN_T, MARGIN_L, MARGIN_T + PLOT_H)
-    for tick in xs.ticks():
-        px = xs(tick)
-        canvas.line(px, MARGIN_T + PLOT_H, px, MARGIN_T + PLOT_H + 5)
-        canvas.text(px, MARGIN_T + PLOT_H + 18, f"{tick:g}", size=10,
-                    anchor="middle")
+def _y_ticks(canvas: _Canvas, ys: _Scale) -> None:
     for tick in ys.ticks():
         py = ys(tick)
         canvas.line(MARGIN_L - 5, py, MARGIN_L, py)
         canvas.text(MARGIN_L - 8, py + 3, f"{tick:g}", size=10, anchor="end")
+
+
+def _titles(canvas: _Canvas, spec: FigureSpec) -> None:
+    """The title and axis labels that ``spec`` sets."""
     if spec.title:
         canvas.text(WIDTH / 2, MARGIN_T - 14, spec.title, size=15,
                     anchor="middle")
@@ -144,6 +150,19 @@ def _frame(canvas: _Canvas, spec: FigureSpec, xs: _Scale, ys: _Scale) -> None:
     if spec.y_label:
         canvas.text(16, MARGIN_T + PLOT_H / 2, spec.y_label, anchor="middle",
                     extra=f' transform="rotate(-90 16 {_fmt(MARGIN_T + PLOT_H / 2)})"')
+
+
+def _frame(canvas: _Canvas, spec: FigureSpec, xs: _Scale, ys: _Scale) -> None:
+    canvas.line(MARGIN_L, MARGIN_T + PLOT_H, MARGIN_L + PLOT_W,
+                MARGIN_T + PLOT_H)
+    canvas.line(MARGIN_L, MARGIN_T, MARGIN_L, MARGIN_T + PLOT_H)
+    for tick in xs.ticks():
+        px = xs(tick)
+        canvas.line(px, MARGIN_T + PLOT_H, px, MARGIN_T + PLOT_H + 5)
+        canvas.text(px, MARGIN_T + PLOT_H + 18, f"{tick:g}", size=10,
+                    anchor="middle")
+    _y_ticks(canvas, ys)
+    _titles(canvas, spec)
 
 
 def _annotate_vertical(canvas: _Canvas, spec: FigureSpec, xs: _Scale) -> None:
@@ -166,7 +185,7 @@ def _legend(canvas: _Canvas, labels: Sequence[str]) -> None:
 
 def _render_scatter_fit(canvas: _Canvas, spec: FigureSpec) -> None:
     all_points = [(float(x), float(y))
-                  for _, points in spec.series for x, y in points]
+                  for _, points, _ in spec.series for x, y in points]
     if not all_points:
         raise AnalysisError("nothing to plot")
     xs_data = [p[0] for p in all_points]
@@ -175,21 +194,16 @@ def _render_scatter_fit(canvas: _Canvas, spec: FigureSpec) -> None:
     ys = _Scale(min(ys_data), max(ys_data), MARGIN_T + PLOT_H, MARGIN_T)
     _frame(canvas, spec, xs, ys)
     _annotate_vertical(canvas, spec, xs)
-    for i, (label, points) in enumerate(spec.series):
+    for i, (label, points, fit) in enumerate(spec.series):
         color = PALETTE[i % len(PALETTE)]
         for x, y in points:
             canvas.circle(xs(float(x)), ys(float(y)), 3, fill=color)
-        try:
-            fit = ols_fit([float(x) for x, _ in points],
-                          [float(y) for _, y in points])
-        except AnalysisError:
-            continue
         x0, x1 = min(float(x) for x, _ in points), max(float(x) for x, _ in points)
         canvas.line(xs(x0), ys(fit.intercept + fit.slope * x0),
                     xs(x1), ys(fit.intercept + fit.slope * x1),
                     stroke=color, width=1.5)
     if len(spec.series) > 1:
-        _legend(canvas, [label for label, _ in spec.series])
+        _legend(canvas, [label for label, _, _ in spec.series])
 
 
 def _render_stacked_area(canvas: _Canvas, spec: FigureSpec) -> None:
@@ -256,17 +270,9 @@ def _render_dendrogram(canvas: _Canvas, spec: FigureSpec) -> None:
             text = f"{text} [{sublabels[leaf]}]"
         canvas.text(x, base_y + 10, text, size=8, anchor="end",
                     extra=f' transform="rotate(-60 {_fmt(x)} {_fmt(base_y + 10)})"')
-    for tick in ys.ticks():
-        py = ys(tick)
-        canvas.line(MARGIN_L - 5, py, MARGIN_L, py)
-        canvas.text(MARGIN_L - 8, py + 3, f"{tick:g}", size=10, anchor="end")
+    _y_ticks(canvas, ys)
     canvas.line(MARGIN_L, MARGIN_T, MARGIN_L, base_y)
-    if spec.title:
-        canvas.text(WIDTH / 2, MARGIN_T - 14, spec.title, size=15,
-                    anchor="middle")
-    if spec.y_label:
-        canvas.text(16, MARGIN_T + PLOT_H / 2, spec.y_label, anchor="middle",
-                    extra=f' transform="rotate(-90 16 {_fmt(MARGIN_T + PLOT_H / 2)})"')
+    _titles(canvas, spec)
 
 
 def _render_sweep_strip(canvas: _Canvas, spec: FigureSpec) -> None:
@@ -288,12 +294,7 @@ def _render_sweep_strip(canvas: _Canvas, spec: FigureSpec) -> None:
                 fill = PALETTE[int(value) % len(PALETTE)]
             canvas.rect(MARGIN_L + c * cell_w, y, cell_w, cell_h, fill=fill,
                         stroke="#ffffff")
-    if spec.title:
-        canvas.text(WIDTH / 2, MARGIN_T - 14, spec.title, size=15,
-                    anchor="middle")
-    if spec.x_label:
-        canvas.text(MARGIN_L + PLOT_W / 2, HEIGHT - 14, spec.x_label,
-                    anchor="middle")
+    _titles(canvas, spec)
 
 
 _RENDERERS = {

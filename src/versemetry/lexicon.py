@@ -109,8 +109,10 @@ def hapax_cumulative_fit(
         series.append((ln.index, running))
     if running == 0:
         raise AnalysisError("no hapax compounds in range")
-    fit = ols_fit([x for x, _ in series], [y for _, y in series])
-    return series, fit
+    if lo == hi:
+        raise AnalysisError(
+            f"poem {poem.id}: a fit needs two lines, got line {lo}")
+    return series, ols_fit([x for x, _ in series], [y for _, y in series])
 
 
 def segment_fits(

@@ -10,10 +10,10 @@ only when both halves are scanned.  Missing halves are skipped and logged,
 never repaired, and every missing half increments a misalignment warning
 counter because a gap can desynchronize naive sequential pairing.
 
-Every tally reads one code array per call: each line's two halves as codes
-0-4 for A-E, -1 where unscanned, and a full line as ``5 * a + b``, the index
-of its pattern in ``FULL_LABELS``.  Counts over any line range are
-differences of one prefix-count array.
+Every tally reads the poem's ``Poem.scansion_codes``, decoded once per poem:
+each line's two halves as codes 0-4 for A-E, -1 where unscanned.  A full
+line is ``5 * a + b``, the index of its pattern in ``FULL_LABELS``.  Counts
+over any line range are differences of one prefix-count array.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import Poem, resolve_line_range
+from .corpus import SCANSION_LABELS, Poem, resolve_line_range
 from .errors import AnalysisError, InputError
 from .stats import (
     LinearFit,
@@ -56,7 +56,8 @@ __all__ = [
     "halves_independence_test",
 ]
 
-HALF_LABELS: tuple[str, ...] = ("A", "B", "C", "D", "E")
+# in code order: a label's index here is its code in ``Poem.scansion_codes``
+HALF_LABELS: tuple[str, ...] = tuple(sorted(SCANSION_LABELS))
 FULL_LABELS: tuple[str, ...] = tuple(a + b for a in HALF_LABELS for b in HALF_LABELS)
 
 # canonical split used throughout
@@ -117,16 +118,12 @@ class SplitTestTable:
     log_after: PairingLog
 
 
-_HALF_CODES = {None: -1, **{lab: i for i, lab in enumerate(HALF_LABELS)}}
 _LABELS = {Granularity.HALF_LINE: HALF_LABELS, Granularity.FULL_LINE: FULL_LABELS}
 
 
 def _scansion_codes(poem: Poem) -> np.ndarray:
-    """(line_count, 2) codes of each line's a and b halves: labels A-E are
-    0-4 and an unscanned half is -1.  Raises unless some half is scanned."""
-    codes = np.array([[_HALF_CODES[ln.a_pattern] for ln in poem.lines],
-                      [_HALF_CODES[ln.b_pattern] for ln in poem.lines]],
-                     dtype=np.int64).T
+    """The poem's ``scansion_codes``; raises unless some half is scanned."""
+    codes = poem.scansion_codes
     if not (codes >= 0).any():
         raise AnalysisError(f"poem {poem.id} unscanned")
     return codes
@@ -198,9 +195,6 @@ def rolling_pattern_proportions(
     if width < 1 or step < 1:
         raise InputError("width and step must be at least 1")
     labels = _LABELS[granularity]
-    if poem.line_count < width:
-        return RollingProportions(granularity, width, step, (),
-                                  {lab: () for lab in labels})
     prefix = _prefix_counts(codes, granularity)
     starts_all = np.arange(1, poem.line_count - width + 2, step)
     window_counts = prefix[starts_all + width - 1] - prefix[starts_all - 1]
@@ -315,6 +309,6 @@ def split_distribution_tests(
 
 def halves_independence_test(poem: Poem, first: int | None = None,
                              last: int | None = None) -> TestResult:
-    """Chi-square independence of (a_pattern, b_pattern) over paired lines."""
+    """Chi-square independence of a- and b-half labels over paired lines."""
     counts = pattern_counts(poem, Granularity.FULL_LINE, first, last).counts
     return chi2_independence(np.reshape(counts, (5, 5)))

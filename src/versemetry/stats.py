@@ -22,7 +22,7 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -342,22 +342,10 @@ def chi2_homogeneity(counts_a: Sequence[int], counts_b: Sequence[int]) -> TestRe
         raise AnalysisError("need at least two categories")
     if ca.sum() <= 0 or cb.sum() <= 0:
         raise AnalysisError("both samples must contain observations")
-    keep = (ca + cb) > 0
-    dropped = int(ca.size - keep.sum())
-    ca, cb = ca[keep], cb[keep]
-    if ca.size < 2:
+    if np.count_nonzero(ca + cb > 0) < 2:
         raise AnalysisError("fewer than two non-empty categories")
-    stat, min_exp = _contingency_statistic(np.vstack([ca, cb]))
-    df = ca.size - 1
-    return TestResult(
-        statistic=stat,
-        df=float(df),
-        p_value=chi_square_p(stat, df),
-        method=TestMethod.CHI2_HOMOGENEITY,
-        n_obs=int(ca.sum() + cb.sum()),
-        min_expected=min_exp,
-        dropped_categories=dropped,
-    )
+    return replace(chi2_independence(np.vstack([ca, cb])),
+                   method=TestMethod.CHI2_HOMOGENEITY)
 
 
 def chi2_gof(observed: Sequence[int], reference_counts: Sequence[int]) -> TestResult:

@@ -521,6 +521,38 @@ def test_hapax_line_zero_rejected(corpus_dir, tmp_path, capsys, argv):
     assert err[0].startswith("error: ") and "bad line range" in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["hapax", "fit", "--poem", "alpha", "--first", "12", "--last", "12"],
+    ["hapax", "segments", "--mode", "partition",
+     "--unit", "alpha:12-12", "--unit", "beta"],
+], ids=["fit", "segments"])
+def test_hapax_one_line_range_is_one_error_line(corpus_dir, tmp_path, capsys,
+                                                argv):
+    # line 12 holds a hapax compound, but one point has no fit
+    code = dispatch(argv + ["--corpus", str(corpus_dir),
+                            "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: poem alpha: a fit needs two lines, got line 12\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_skips_one_line_hapax_fit(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    write_corpus(build_corpus(
+        build_poem("tiny", 1, compounds={1: ("tinyhapax",)}),
+        build_poem("other", 20, compounds={5: ("otherhapax",)})), corpus_dir)
+    out = tmp_path / "out"
+    assert dispatch(["report", "--corpus", str(corpus_dir),
+                     "--out", str(out)]) == 0
+    skipped = (out / "report" / "skipped.csv").read_text(encoding="utf-8")
+    assert ('hapax fit,tiny,"poem tiny: a fit needs two lines, got line 1"\n'
+            in skipped)
+    assert [row["unit"] for row in read_csv(out / "hapax" / "fits.csv")] == [
+        "other"]
+    assert not (out / "hapax" / "series-tiny.csv").exists()
+
+
 def test_bad_unit_spec(corpus_dir, tmp_path, capsys):
     code = dispatch(["hapax", "segments", "--corpus", str(corpus_dir),
                      "--mode", "merge", "--unit", "alpha:x-y",

@@ -1,5 +1,6 @@
 """Tests for corpus parsing, validation, serialization, and windowing."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -232,6 +233,35 @@ def test_round_trip(tmp_path):
     write_corpus(Corpus(poems=(poem2, empty)), tmp_path / "empty")
     with pytest.raises(CorpusError, match="^poem b: no verse lines$"):
         parse_corpus(tmp_path / "empty")
+
+
+def test_scansion_codes_are_read_only_and_decoded_once():
+    def labels(i):
+        return "A", None if i == 2 else "E"
+
+    poem = build_poem("p", 3, pattern_fn=labels)
+    codes = poem.scansion_codes
+    assert codes is poem.scansion_codes
+    assert not codes.flags.writeable
+    with pytest.raises(ValueError):
+        codes[0, 0] = 4
+    assert codes.tolist() == [[0, 4], [0, -1], [0, 4]]
+    # the cache is not a field: equality and hash still come from the fields
+    again = build_poem("p", 3, pattern_fn=labels)
+    assert again == poem and hash(again) == hash(poem)
+    assert Poem(id="e", lines=(), parts=()).scansion_codes.shape == (0, 2)
+
+
+_HALF = st.sampled_from([None, "A", "B", "C", "D", "E"])
+
+
+@given(st.lists(st.tuples(_HALF, _HALF), min_size=1, max_size=40))
+def test_scansion_codes_match_a_per_line_decode(halves):
+    poem = build_poem("p", len(halves), pattern_fn=lambda i: halves[i - 1])
+    code = {None: -1, "A": 0, "B": 1, "C": 2, "D": 3, "E": 4}
+    expected = [[code[ln.a_pattern], code[ln.b_pattern]] for ln in poem.lines]
+    assert poem.scansion_codes.dtype == np.int64
+    assert poem.scansion_codes.tolist() == expected
 
 
 def test_poem_line_accessor_bounds():

@@ -8,14 +8,16 @@ import pytest
 from versemetry.errors import AnalysisError
 from versemetry.figures import FigureKind, FigureSpec, render_figure
 from versemetry.ngramcluster import Dendrogram
+from versemetry.stats import LinearFit, ols_fit
 
 from helpers import random_dendrogram, recursive_leaf_order
 
 
 def scatter_spec():
     points = tuple((float(x), float(2 * x + 1)) for x in range(10))
+    fit = ols_fit([x for x, _ in points], [y for _, y in points])
     return FigureSpec(kind=FigureKind.SCATTER_FIT,
-                      series=(("fit me", points),),
+                      series=(("fit me", points, fit),),
                       title="scatter", x_label="x", y_label="y",
                       annotations=((4.0, "mark"),))
 
@@ -69,6 +71,21 @@ def test_scatter_draws_points_fit_line_and_annotation():
     # one of the <line> elements is dashed: the vertical annotation marker
     assert "stroke-dasharray" in doc
     assert "mark" in doc
+
+
+def test_scatter_draws_the_given_fit():
+    # the points rise, but the renderer draws the fit it is handed
+    points = tuple((float(x), float(2 * x + 1)) for x in range(10))
+    flat = LinearFit(slope=0.0, intercept=5.0, r=0.0, n=len(points))
+    doc = render_figure(FigureSpec(kind=FigureKind.SCATTER_FIT,
+                                   series=(("flat", points, flat),)))
+    fit_lines = re.findall(r'<line x1="([\d.]+)" y1="([\d.]+)" '
+                           r'x2="([\d.]+)" y2="([\d.]+)" stroke="#1f77b4"',
+                           doc)
+    assert len(fit_lines) == 1
+    x1, y1, x2, y2 = fit_lines[0]
+    assert y1 == y2
+    assert (x1, x2) == ("70.00", "780.00")
 
 
 def test_stacked_constant_proportions_are_rectangles():

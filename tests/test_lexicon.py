@@ -108,6 +108,13 @@ class TestHapaxCumulativeFit:
         with pytest.raises(AnalysisError, match="no hapax compounds in range"):
             hapax_cumulative_fit(poem, index.hapax_set, 2, 10)
 
+    def test_one_line_range_raises(self):
+        poem = unique_hapax_poem("p", 10, hapax_lines=[6])
+        index = build_compound_index(build_corpus(poem))
+        with pytest.raises(AnalysisError, match=(
+                "^poem p: a fit needs two lines, got line 6$")):
+            hapax_cumulative_fit(poem, index.hapax_set, 6, 6)
+
     def test_bad_range_raises(self):
         poem = unique_hapax_poem("p", 10)
         with pytest.raises(AnalysisError, match="bad line range"):

@@ -8,6 +8,7 @@ import pathlib
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -251,6 +252,21 @@ def test_homogeneity_symmetric(a, b):
     r2 = chi2_homogeneity(b, a)
     assert r1.statistic == pytest.approx(r2.statistic, rel=1e-12, abs=1e-12)
     assert r1.p_value == pytest.approx(r2.p_value, rel=1e-12, abs=1e-12)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=200), min_size=2, max_size=8),
+    st.lists(st.integers(min_value=0, max_value=200), min_size=2, max_size=8),
+)
+def test_homogeneity_is_independence_of_the_2xk_table(a, b):
+    k = min(len(a), len(b))
+    a, b = a[:k], b[:k]
+    if sum(a) == 0 or sum(b) == 0 or sum(1 for x, y in zip(a, b) if x + y > 0) < 2:
+        return
+    hom = chi2_homogeneity(a, b)
+    assert hom.method is TestMethod.CHI2_HOMOGENEITY
+    assert replace(hom, method=TestMethod.CHI2_INDEPENDENCE) == (
+        chi2_independence([a, b]))
 
 
 def test_gof_proportional_observed():
