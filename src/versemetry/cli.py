@@ -56,7 +56,6 @@ from .metre import (
     check_split_line,
     cumulative_incidence_r,
     halves_independence_test,
-    incidence_points,
     pattern_counts,
     rolling_pattern_proportions,
     split_distribution_tests,
@@ -393,8 +392,7 @@ def _incidence_fit_row(poem_id: str, pattern: str, granularity: str,
 def cmd_metre_incidence(args: argparse.Namespace, corpus: Corpus) -> dict:
     poem = corpus.poem(args.poem)
     granularity = Granularity(args.granularity)
-    points = incidence_points(poem, args.pattern, granularity)
-    fit = cumulative_incidence_r(poem, args.pattern, granularity)
+    points, fit = cumulative_incidence_r(poem, args.pattern, granularity)
     name = f"{poem.id}-{args.pattern}"
     return {
         f"incidence-{name}": (("unit", "occurrence"), points),
@@ -587,12 +585,12 @@ def cmd_cluster_sweep(args: argparse.Namespace, corpus: Corpus) -> dict:
 def _summary_row(poem: Poem) -> tuple:
     return (poem.id, poem.line_count, "+".join(p.name for p in poem.parts),
             int((poem.scansion_codes >= 0).any(axis=1).sum()),
-            sum(len(ln.compounds) for ln in poem.lines))
+            len(poem.compound_tokens.lemmas))
 
 
 def _ttr_row(poem: Poem) -> tuple:
     ratio = type_token_ratio(poem)
-    tokens = sum(len(ln.compounds) for ln in poem.lines)
+    tokens = len(poem.compound_tokens.lemmas)
     return poem.id, tokens, round(ratio * tokens) if ratio else 0, ratio
 
 
@@ -655,7 +653,7 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
         count, pattern = max(zip(counts.counts, counts.labels))
         if count < 2:
             return {}
-        fit = cumulative_incidence_r(poem, pattern, Granularity.FULL_LINE)
+        _, fit = cumulative_incidence_r(poem, pattern, Granularity.FULL_LINE)
         return {"incidence": (INCIDENCE_FIT_COLUMNS, [
             _incidence_fit_row(poem.id, pattern, "full", fit)])}
 

@@ -12,8 +12,10 @@ contents of its files; a malformed, missing or undecodable input is a
 
 Parsed values are immutable and safe to share across threads.  Raw half-line
 text is preserved exactly as read; all classification happens downstream.
-A poem's one derived value, ``Poem.scansion_codes``, is its labels as a
-read-only array, decoded on first use and shared by every analysis.
+A poem's derived columns, built on first use and shared by every analysis,
+are ``Poem.scansion_codes``, its labels as a read-only array;
+``Poem.ngram_stream``, its text normalized by ``normalize_text`` into one
+padded stream; and ``Poem.compound_tokens``, its compound tokens.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -29,14 +32,18 @@ import numpy as np
 from .errors import AnalysisError, CorpusError, InputError
 
 __all__ = [
+    "PUNCTUATION_GLYPHS",
     "SCANSION_LABELS",
     "PartRange",
     "VerseLine",
     "Poem",
+    "NgramStream",
+    "CompoundTokens",
     "SampleWindow",
     "Corpus",
     "read_text",
     "read_json",
+    "normalize_text",
     "build_poem",
     "parse_corpus",
     "corpus_files",
@@ -53,6 +60,31 @@ _COMPOUND_HEADER = "line\tlemma"
 _FILE_KEYS = ("text", "scansion", "compounds")
 _LABEL_CODES = {None: -1, **{label: code for code, label
                              in enumerate(sorted(SCANSION_LABELS))}}
+
+# everything any sense-pause mode can treat as punctuation, plus the comma;
+# normalize_text strips the same set
+PUNCTUATION_GLYPHS = frozenset(".?!;:()-‘’“”'\",")
+# tabs need no entry: split() treats them as whitespace
+_TO_SPACE = str.maketrans(dict.fromkeys(PUNCTUATION_GLYPHS, " "))
+
+
+def _normalized(texts: list[str]) -> list[str]:
+    """``normalize_text`` of each text, translating them as one string.
+
+    Each text is lowered on its own and before translation, since a final
+    sigma depends on what follows it ("ΑΣ’Β" keeps a medial one); the
+    translated string is cut at the lowered lengths, which can differ.
+    """
+    lowered = [text.lower() for text in texts]
+    joined = "".join(lowered).translate(_TO_SPACE)
+    cuts = [0, *accumulate(map(len, lowered))]
+    return [" ".join(joined[a:b].split()) for a, b in zip(cuts, cuts[1:])]
+
+
+def normalize_text(text: str) -> str:
+    """``text`` normalized for n-gram counting: lowercased, punctuation
+    replaced by spaces, whitespace collapsed to single spaces."""
+    return _normalized([text])[0]
 
 
 @dataclass(frozen=True)
@@ -74,6 +106,29 @@ class VerseLine:
     compounds: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True, eq=False)
+class NgramStream:
+    """A poem's padded normalized text, its line edges and its alphabet.
+
+    ``text`` is one space, then each non-empty normalized line followed by a
+    space, so the padded text " <text> " of lines f..l is
+    ``text[edges[f-1]:edges[l] + 1]``; ``edges`` is a read-only int64 array.
+    """
+
+    text: str
+    edges: np.ndarray
+    alphabet: frozenset[str]
+
+
+@dataclass(frozen=True, eq=False)
+class CompoundTokens:
+    """A poem's compound tokens in text order: each one's line number, in a
+    read-only int64 array, and its lemma."""
+
+    lines: np.ndarray
+    lemmas: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class Poem:
     id: str
@@ -93,6 +148,24 @@ class Poem:
                          dtype=np.int64).T.copy()
         codes.flags.writeable = False
         return codes
+
+    @cached_property
+    def ngram_stream(self) -> NgramStream:
+        """The stream of each line's a and b halves joined by a space."""
+        texts = _normalized([f"{ln.a_text} {ln.b_text}" for ln in self.lines])
+        edges = np.cumsum([0] + [len(text) + 1 if text else 0
+                                 for text in texts], dtype=np.int64)
+        edges.flags.writeable = False
+        stream = " " + "".join(text + " " for text in texts if text)
+        return NgramStream(stream, edges, frozenset(stream))
+
+    @cached_property
+    def compound_tokens(self) -> CompoundTokens:
+        tokens = [(ln.index, lemma) for ln in self.lines
+                  for lemma in ln.compounds]
+        lines = np.array([index for index, _ in tokens], dtype=np.int64)
+        lines.flags.writeable = False
+        return CompoundTokens(lines, tuple(lemma for _, lemma in tokens))
 
     def line(self, index: int) -> VerseLine:
         """Fetch a line by its 1-based editorial number."""

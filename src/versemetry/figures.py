@@ -93,11 +93,6 @@ class _Canvas:
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
             f'height="{_fmt(h)}" fill="{fill}" stroke="{stroke}"/>')
 
-    def circle(self, cx, cy, r, fill) -> None:
-        self.add(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-            f'fill="{fill}"/>')
-
     def path(self, d: str, fill="none", stroke="#000000", width=1.0) -> None:
         self.add(
             f'<path d="{d}" fill="{fill}" stroke="{stroke}" '
@@ -120,16 +115,14 @@ class _Scale:
     def __init__(self, lo: float, hi: float, pix_lo: float, pix_hi: float):
         if hi == lo:
             lo, hi = lo - 1.0, hi + 1.0
-        self.lo, self.hi = lo, hi
-        self.pix_lo, self.pix_hi = pix_lo, pix_hi
+        self.lo, self.span = lo, hi - lo
+        self.pix_lo, self.pix_span = pix_lo, pix_hi - pix_lo
 
     def __call__(self, value: float) -> float:
-        frac = (value - self.lo) / (self.hi - self.lo)
-        return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
+        return self.pix_lo + (value - self.lo) / self.span * self.pix_span
 
     def ticks(self, count: int = 5) -> list[float]:
-        return [self.lo + i * (self.hi - self.lo) / (count - 1)
-                for i in range(count)]
+        return [self.lo + i * self.span / (count - 1) for i in range(count)]
 
 
 def _y_ticks(canvas: _Canvas, ys: _Scale) -> None:
@@ -194,10 +187,16 @@ def _render_scatter_fit(canvas: _Canvas, spec: FigureSpec) -> None:
     ys = _Scale(min(ys_data), max(ys_data), MARGIN_T + PLOT_H, MARGIN_T)
     _frame(canvas, spec, xs, ys)
     _annotate_vertical(canvas, spec, xs)
+    # one mark per point, at xs(x), ys(y) computed inline in the scales'
+    # order of operations
+    (xl, xd, xp, xw), (yl, yd, yp, yw) = (
+        (s.lo, s.span, s.pix_lo, s.pix_span) for s in (xs, ys))
     for i, (label, points, fit) in enumerate(spec.series):
         color = PALETTE[i % len(PALETTE)]
-        for x, y in points:
-            canvas.circle(xs(float(x)), ys(float(y)), 3, fill=color)
+        canvas.parts += [
+            f'<circle cx="{xp + (float(x) - xl) / xd * xw:.2f}" '
+            f'cy="{yp + (float(y) - yl) / yd * yw:.2f}" r="3.00" '
+            f'fill="{color}"/>' for x, y in points]
         x0, x1 = min(float(x) for x, _ in points), max(float(x) for x, _ in points)
         canvas.line(xs(x0), ys(fit.intercept + fit.slope * x0),
                     xs(x1), ys(fit.intercept + fit.slope * x1),

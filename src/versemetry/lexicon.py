@@ -75,11 +75,10 @@ def build_compound_index(corpus: Corpus) -> CompoundIndex:
     by_type: dict[str, list[tuple[str, int]]] = {}
     totals: dict[str, int] = {}
     for poem in corpus.poems:
-        totals[poem.id] = 0
-        for line in poem.lines:
-            for lemma in line.compounds:
-                by_type.setdefault(lemma, []).append((poem.id, line.index))
-                totals[poem.id] += 1
+        tokens = poem.compound_tokens
+        totals[poem.id] = len(tokens.lemmas)
+        for lemma, line in zip(tokens.lemmas, tokens.lines.tolist()):
+            by_type.setdefault(lemma, []).append((poem.id, line))
     hapaxes = frozenset(
         lemma for lemma, places in by_type.items() if len(places) == 1)
     return CompoundIndex(
@@ -102,12 +101,13 @@ def hapax_cumulative_fit(
     for the conventional per-100-line reporting scale).
     """
     lo, hi = resolve_line_range(poem, first, last)
-    series = []
-    running = 0
-    for ln in poem.lines[lo - 1:hi]:
-        running += sum(1 for lemma in ln.compounds if lemma in hapax_set)
-        series.append((ln.index, running))
-    if running == 0:
+    tokens = poem.compound_tokens
+    hapax = np.array([lemma in hapax_set for lemma in tokens.lemmas],
+                     dtype=bool)
+    per_line = np.bincount(tokens.lines[hapax], minlength=hi + 1)
+    series = list(zip(range(lo, hi + 1),
+                      np.cumsum(per_line[lo:hi + 1]).tolist()))
+    if series[-1][1] == 0:
         raise AnalysisError("no hapax compounds in range")
     if lo == hi:
         raise AnalysisError(
@@ -153,10 +153,10 @@ def segment_fits(
 
 def type_token_ratio(poem: Poem) -> float | None:
     """Distinct compound types over compound tokens; None without tokens."""
-    tokens = [lemma for ln in poem.lines for lemma in ln.compounds]
-    if not tokens:
+    lemmas = poem.compound_tokens.lemmas
+    if not lemmas:
         return None
-    return len(set(tokens)) / len(tokens)
+    return len(set(lemmas)) / len(lemmas)
 
 
 # Trials simulated per block: the working arrays scale with the block, not

@@ -224,9 +224,11 @@ def incidence_points(poem: Poem, pattern: str,
     return [(x, i) for i, x in enumerate(xs.tolist(), start=1)]
 
 
-def cumulative_incidence_r(poem: Poem, pattern: str,
-                           granularity: Granularity) -> LinearFit:
-    """Fit occurrence number against unit index for one pattern.
+def cumulative_incidence_r(
+    poem: Poem, pattern: str, granularity: Granularity,
+) -> tuple[list[tuple[int, int]], LinearFit]:
+    """One pattern's incidence points and the fit of occurrence number
+    against unit index.
 
     Replicates the original cumulative-incidence metric via incidence_points.
     Both coordinates are monotone increasing by construction, which is why r
@@ -237,7 +239,7 @@ def cumulative_incidence_r(poem: Poem, pattern: str,
     if len(points) < 2:
         raise AnalysisError(
             f"pattern {pattern!r} occurs fewer than twice in {poem.id}")
-    return ols_fit([x for x, _ in points], [y for _, y in points])
+    return points, ols_fit([x for x, _ in points], [y for _, y in points])
 
 
 def check_split_line(poem: Poem, split_line: int) -> None:

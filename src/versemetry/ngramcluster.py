@@ -1,24 +1,25 @@
 """Character n-gram window profiles, cosine distances, and clustering.
 
-Window texts are normalized before counting: lowercased, punctuation replaced
-by spaces (punctuation acts as a word boundary), whitespace collapsed to a
-single space, and the stream padded with one leading and trailing space so
-word-boundary grams are counted.  Features are the global top-k n-grams by
-total count across all samples in the analysis (ties broken lexicographically)
-and profile values are relative frequencies against each sample's full n-gram
-total, so a profile restricted to the top-k sums to at most 1.
+Window texts are cut from each poem's ``Poem.ngram_stream``, normalized by
+``corpus.normalize_text``: lowercased, punctuation replaced by spaces
+(punctuation acts as a word boundary), whitespace collapsed to a single
+space, and padded with one leading and trailing space so word-boundary grams
+are counted.  Features are the global top-k n-grams by total count across
+all samples in the analysis (ties broken lexicographically) and profile
+values are relative frequencies against each sample's full n-gram total, so
+a profile restricted to the top-k sums to at most 1.
 
 Counting works on one integer gram-code array per poem.  Tokens never span
-lines, so a window's padded stream " <text> " is a substring of its poem's
-padded stream (the normalized non-empty lines joined by single spaces), and
-each window is a [start, end) range of gram positions.  Every gram position
-gets one int64 code: characters are ranked in the sorted alphabet of the
-streams and folded in base R, which keeps the lexicographic order of
-same-length grams.  A poem's grams are totalled over its windows by sorting
-the codes and weighting each position by the number of windows covering it;
-the distinct grams of all poems are then merged for the top-k.  Each poem's
-(features x windows) counts come from two searchsorted calls over sorted
-(feature, position) keys, so overlapping windows never recount text.
+lines, so a window's padded text " <text> " is a substring of its poem's
+padded stream, and each window is a [start, end) range of gram positions.
+Every gram position gets one int64 code: characters are ranked in the
+sorted alphabet of the streams and folded in base R, which keeps the
+lexicographic order of same-length grams.  A poem's grams are totalled over
+its windows by sorting the codes and weighting each position by the number
+of windows covering it; the distinct grams of all poems are then merged for
+the top-k.  Each poem's (features x windows) counts come from two
+searchsorted calls over sorted (feature, position) keys, so overlapping
+windows never recount text.
 
 Clustering is agglomerative with complete (maximum) linkage on cosine
 distances.  Ties are broken by the smallest (min-id, max-id) cluster-id pair;
@@ -34,9 +35,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Poem, SampleWindow, rolling_windows
+from .corpus import (Corpus, NgramStream, Poem, SampleWindow, normalize_text,
+                     rolling_windows)
 from .errors import AnalysisError
-from .sensepause import PUNCTUATION_GLYPHS
 
 __all__ = [
     "DistanceMatrix",
@@ -116,29 +117,6 @@ def majority_part(sample: SampleWindow) -> str:
     if best is None:
         raise AnalysisError(f"sample {window_id(sample)} has empty composition")
     return best[0]
-
-
-# tabs need no entry: split() below already treats them as whitespace
-_TO_SPACE = str.maketrans(dict.fromkeys(PUNCTUATION_GLYPHS, " "))
-
-
-def normalize_text(text: str) -> str:
-    return " ".join(text.lower().translate(_TO_SPACE).split())
-
-
-def _poem_stream(poem: Poem) -> tuple[str, list[int]]:
-    """A poem's padded normalized stream and its line edges.
-
-    The stream is one space followed by every non-empty normalized line and a
-    space, so the padded stream " <text> " of lines f..l is
-    ``stream[edges[f-1]:edges[l] + 1]``.
-    """
-    texts = [normalize_text(f"{line.a_text} {line.b_text}")
-             for line in poem.lines]
-    edges = [0]
-    for text in texts:
-        edges.append(edges[-1] + (len(text) + 1 if text else 0))
-    return " " + "".join(text + " " for text in texts if text), edges
 
 
 def _stream_ranks(stream: str, rank: np.ndarray) -> np.ndarray:
@@ -239,13 +217,14 @@ def build_profiles(
     # every window is a [start, end) range of gram positions in the stream
     # of its poem; poems are counted one at a time, which bounds the memory
     # of a call by its largest poem
-    poems: dict[str, tuple[Poem, str, list[int], list[int]]] = {}
+    poems: dict[str, tuple[Poem, NgramStream, list[int]]] = {}
     starts, ends = [], []
     for index, sample in enumerate(samples):
         if sample.source not in poems:
             poem = corpus.poem(sample.source)
-            poems[sample.source] = (poem, *_poem_stream(poem), [])
-        poem, _, edges, members = poems[sample.source]
+            poems[sample.source] = (poem, poem.ngram_stream, [])
+        poem, stream, members = poems[sample.source]
+        edges = stream.edges
         first, last = sample.first_line, sample.last_line
         length = 0
         if first <= last:
@@ -260,9 +239,10 @@ def build_profiles(
         ends.append(edges[last] + 2 - n)
         members.append(index)
     starts_at, ends_at = np.array(starts), np.array(ends)
-    streams = [(stream, members) for _, stream, _, members in poems.values()]
+    streams = [(stream.text, members) for _, stream, members in poems.values()]
     # each code point's rank in the sorted alphabet of the streams
-    alphabet = np.array(sorted(map(ord, set().union(*(s for s, _ in streams)))))
+    alphabet = np.array(sorted(map(ord, set().union(
+        *(stream.alphabet for _, stream, _ in poems.values())))))
     radix = alphabet.size
     rank = np.zeros(alphabet[-1] + 1, dtype=np.int32)
     rank[alphabet] = np.arange(radix)

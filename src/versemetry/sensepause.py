@@ -39,7 +39,8 @@ import unicodedata
 
 import numpy as np
 
-from .corpus import Poem, VerseLine, filtered_line_numbers, partition_samples
+from .corpus import (PUNCTUATION_GLYPHS, Poem, VerseLine,
+                     filtered_line_numbers, partition_samples)
 from .errors import AnalysisError
 from .stats import TestResult, pooled_t_test
 
@@ -55,18 +56,14 @@ __all__ = [
     "mean_syllables_per_line",
 ]
 
-# full enumerated set; the parenthesis pair counts as a single mark, so the
-# "first seven" legacy subset ends at the hyphen
+# the modes' glyph subsets, which with the comma make up PUNCTUATION_GLYPHS;
+# in the full enumerated set the parenthesis pair counts as a single mark, so
+# the "first seven" legacy subset ends at the hyphen
 _CORE_GLYPHS = frozenset(".?!;:()-")
 _TYPOGRAPHIC_QUOTES = frozenset("‘’“”")
 _ASCII_QUOTES = frozenset("'\"")
 _QUOTES = _TYPOGRAPHIC_QUOTES | _ASCII_QUOTES
 STRICT_GLYPHS = _CORE_GLYPHS
-
-# everything any mode can treat as punctuation, plus the comma; text
-# normalizers elsewhere share this set so "strip punctuation" means the same
-# thing across analyses
-PUNCTUATION_GLYPHS = _CORE_GLYPHS | _QUOTES | {","}
 
 _VOWEL_CODES = np.array(sorted(map(ord, "aeiouyæœ")))
 _COMMA, _DOT = ord(","), ord(".")

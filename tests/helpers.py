@@ -560,6 +560,21 @@ def _window_text(corpus, sample):
     return " ".join(pieces)
 
 
+def per_line_stream(poem):
+    """Reference for ``Poem.ngram_stream``: each line normalized on its own
+    by ``per_char_normalize_text``.
+
+    Returns the padded stream, one space followed by every non-empty
+    normalized line and a space, and its line edges.
+    """
+    texts = [per_char_normalize_text(f"{line.a_text} {line.b_text}")
+             for line in poem.lines]
+    edges = [0]
+    for text in texts:
+        edges.append(edges[-1] + (len(text) + 1 if text else 0))
+    return " " + "".join(text + " " for text in texts if text), edges
+
+
 def counter_build_profiles(corpus, samples, n, k):
     """Reference ``build_profiles``: one Counter of substrings per window."""
     if not 2 <= n <= 5:

@@ -254,7 +254,7 @@ def test_criterion_5_incidence_correlation_insensitivity(capsys):
     """A pattern whose density drifts 30% -> 10% still produces a cumulative
     incidence correlation above 0.99, while the distribution tests reject."""
     poem = drift_scansion_poem("drift", 3000)
-    fit = cumulative_incidence_r(poem, "A", Granularity.HALF_LINE)
+    _, fit = cumulative_incidence_r(poem, "A", Granularity.HALF_LINE)
     gof_p = _full_line_gof_p(poem, 2300)
 
     ok = fit.r > 0.99 and gof_p < 0.01

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     CLI_GOLDEN_CASES,
+    CRITERION_8_ARGV,
     GOLDEN_PATH,
     build_corpus,
     build_poem,
@@ -21,10 +22,24 @@ from helpers import (
     run_digests,
     tree_digests,
 )
-from versemetry import cli
+from test_acceptance import criterion_8_corpus
+from versemetry import cli, metre
 from versemetry.cli import build_parser, dispatch
 from versemetry.corpus import PartRange, Poem, VerseLine, parse_corpus, write_corpus
 from versemetry.stats import RngStream
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that counts its calls."""
+    calls = []
+    func = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 def _cli_poems():
@@ -477,6 +492,30 @@ def test_incidence_outputs(corpus_dir, tmp_path):
     assert 0.0 <= float(fit["r"]) <= 1.0
     svg = (out / "metre" / "incidence-alpha-A.svg").read_text()
     assert svg.startswith("<?xml")
+
+
+def test_incidence_points_built_once(corpus_dir, tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, metre, "incidence_points")
+    # the command module's own name for it, where it has one, is the same spy
+    monkeypatch.setattr(cli, "incidence_points", metre.incidence_points,
+                        raising=False)
+    assert dispatch(["metre", "incidence-r", "--corpus", str(corpus_dir),
+                     "--poem", "alpha", "--pattern", "A",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_report_builds_each_text_column_once_per_poem(tmp_path, monkeypatch):
+    corpus_dir = tmp_path / "corpus"
+    write_corpus(criterion_8_corpus(), corpus_dir)
+    streams = count_calls(monkeypatch, Poem.__dict__["ngram_stream"], "func")
+    tokens = count_calls(monkeypatch, Poem.__dict__["compound_tokens"],
+                         "func")
+    assert dispatch([*CRITERION_8_ARGV, "--corpus", str(corpus_dir),
+                     "--out", str(tmp_path / "out")]) == 0
+    built = sorted(poem.id for (poem,) in streams)
+    assert built == ["epic-a", "epic-b", "saga"]
+    assert sorted(poem.id for (poem,) in tokens) == built
 
 
 def test_hapax_fit_outputs(corpus_dir, tmp_path):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import build_corpus, build_poem, write_manifest, write_simple_poem_files
+from helpers import (build_corpus, build_poem, per_line_stream, write_manifest,
+                     write_simple_poem_files)
 from versemetry.corpus import (
+    PUNCTUATION_GLYPHS,
     Corpus,
     PartRange,
     Poem,
@@ -262,6 +264,57 @@ def test_scansion_codes_match_a_per_line_decode(halves):
     expected = [[code[ln.a_pattern], code[ln.b_pattern]] for ln in poem.lines]
     assert poem.scansion_codes.dtype == np.int64
     assert poem.scansion_codes.tolist() == expected
+
+
+def test_text_columns_are_read_only_and_built_once():
+    poem = build_poem("p", 3, compounds={2: ("beag", "brim")})
+    stream, tokens = poem.ngram_stream, poem.compound_tokens
+    assert stream is poem.ngram_stream
+    assert tokens is poem.compound_tokens
+    for array in (stream.edges, tokens.lines):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+    again = build_poem("p", 3, compounds={2: ("beag", "brim")})
+    assert again == poem and hash(again) == hash(poem)
+    empty = Poem(id="e", lines=(), parts=())
+    assert empty.ngram_stream.text == " "
+    assert empty.ngram_stream.edges.tolist() == [0]
+    assert empty.compound_tokens.lines.shape == (0,)
+    assert empty.compound_tokens.lemmas == ()
+
+
+# letters whose lowercase is longer (İ) or depends on what follows (Σ), tabs,
+# newlines and every punctuation glyph; an empty list is an empty half
+_STREAM_PIECES = sorted(PUNCTUATION_GLYPHS) + [
+    "\t", "\n", " ", "İ", "Σ", "ς", "Α", "Β", "a", "Z", "æ", "0", "7"]
+_STREAM_HALF = st.lists(st.sampled_from(_STREAM_PIECES), max_size=6).map(
+    "".join)
+
+
+@example([("ΑΣ’Β", "")])
+@example([("ΑΣ.Β", "ΑΣ’Β"), ("", "")])
+@given(st.lists(st.tuples(_STREAM_HALF, _STREAM_HALF), min_size=1,
+                max_size=12))
+def test_ngram_stream_matches_a_per_line_build(halves):
+    poem = build_poem("p", len(halves), text_fn=lambda i: halves[i - 1])
+    text, edges = per_line_stream(poem)
+    stream = poem.ngram_stream
+    assert stream.text == text
+    assert stream.edges.dtype == np.int64
+    assert stream.edges.tolist() == edges
+    assert stream.alphabet == frozenset(text)
+
+
+@given(st.lists(st.lists(st.sampled_from(["beag", "brim", "sæ-wudu"]),
+                         max_size=3), min_size=1, max_size=20))
+def test_compound_tokens_match_a_per_line_walk(per_line):
+    poem = build_poem("p", len(per_line), compounds=dict(
+        enumerate(per_line, 1)))
+    walk = [(ln.index, lemma) for ln in poem.lines for lemma in ln.compounds]
+    tokens = poem.compound_tokens
+    assert tokens.lines.dtype == np.int64
+    assert list(zip(tokens.lines.tolist(), tokens.lemmas)) == walk
 
 
 def test_poem_line_accessor_bounds():

@@ -199,21 +199,21 @@ def test_rolling_width_larger_than_poem():
 
 def test_incidence_every_unit():
     poem = build_poem("p", 30, pattern_fn=lambda i: ("A", "A"))
-    fit = cumulative_incidence_r(poem, "A", Granularity.HALF_LINE)
+    _, fit = cumulative_incidence_r(poem, "A", Granularity.HALF_LINE)
     assert fit.slope == pytest.approx(1.0)
     assert fit.r == pytest.approx(1.0)
 
 
 def test_incidence_every_other_unit():
     poem = build_poem("p", 30, pattern_fn=lambda i: ("B", "A"))
-    fit = cumulative_incidence_r(poem, "A", Granularity.HALF_LINE)
+    _, fit = cumulative_incidence_r(poem, "A", Granularity.HALF_LINE)
     assert fit.slope == pytest.approx(0.5)
     assert fit.r == pytest.approx(1.0)
 
 
 def test_incidence_full_line_granularity():
     poem = build_poem("p", 25, pattern_fn=lambda i: ("A", "B"))
-    fit = cumulative_incidence_r(poem, "AB", Granularity.FULL_LINE)
+    _, fit = cumulative_incidence_r(poem, "AB", Granularity.FULL_LINE)
     assert fit.slope == pytest.approx(1.0)
     assert fit.n == 25
 
@@ -233,7 +233,7 @@ def test_incidence_rejects_unknown_pattern():
 @pytest.mark.parametrize("start,end", [(0.30, 0.10), (0.50, 0.35), (0.12, 0.05)])
 def test_incidence_r_insensitive_to_density_drift(start, end):
     poem = drift_scansion_poem("p", 3000, start=start, end=end)
-    fit = cumulative_incidence_r(poem, "A", Granularity.HALF_LINE)
+    _, fit = cumulative_incidence_r(poem, "A", Granularity.HALF_LINE)
     assert fit.r > 0.99
 
 

@@ -1,5 +1,6 @@
 """Tests for sense-pause classification, ratios, and the syllable estimator."""
 
+import itertools
 import pathlib
 from statistics import fmean
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_poem, loop_classify_line, loop_vowel_runs
+from versemetry import corpus, sensepause
 from versemetry.corpus import PartRange, VerseLine, parse_corpus
 from versemetry.errors import AnalysisError
 from versemetry.sensepause import (
@@ -475,3 +477,11 @@ def test_syllables_spans_both_halves():
 def test_syllables_empty_inputs():
     assert mean_syllables_per_line([]) == 0.0
     assert mean_syllables_per_line([line_of("")]) == 0.0
+
+
+def test_mode_glyph_sets_and_the_comma_make_up_the_punctuation_set():
+    modes = itertools.product((False, True), repeat=3)
+    glyphs = frozenset().union(*(sensepause._glyph_set(*mode)
+                                 for mode in modes))
+    assert glyphs | {","} == corpus.PUNCTUATION_GLYPHS
+    assert sensepause.PUNCTUATION_GLYPHS is corpus.PUNCTUATION_GLYPHS
