@@ -11,7 +11,8 @@ reproduced exactly.  The output directory itself is not part of the
 manifest: trees produced by identical runs into different directories are
 byte-identical.
 
-Exit codes: 0 success, 1 analysis/corpus error (message on stderr), 2 usage.
+Exit codes: 0 success, 1 analysis/corpus error or unwritable output (message
+on stderr), 2 usage.
 """
 
 from __future__ import annotations
@@ -462,8 +463,8 @@ def cmd_hapax_segments(args: argparse.Namespace, corpus: Corpus) -> dict:
             for (poem, _, _), (first, last, n_hapax), (_, fit)
             in zip(units, spans, unit_fits)]
     total_hapax = sum(n_hapax for _, _, n_hapax in spans)
-    total_lines = sum(last - first + 1 for first, last, _ in spans)
-    combined_span = (1, total_lines) if mode is SegmentMode.MERGE else (
+    merged_lines = sum(last - first + 1 for first, last, _ in spans)
+    combined_span = (1, merged_lines) if mode is SegmentMode.MERGE else (
         min(first for first, _, _ in spans), max(last for _, last, _ in spans))
     rows.append(_fit_row("combined", *combined_span, total_hapax, combined))
     return {f"segments-{args.mode}": (FIT_COLUMNS, rows)}
@@ -528,8 +529,9 @@ def cmd_cluster_profiles(args: argparse.Namespace, corpus: Corpus) -> dict:
 def cmd_cluster_dendrogram(args: argparse.Namespace, corpus: Corpus) -> dict:
     windows, dist, tree = _dendrogram(corpus, _poem_ids(args.poems),
                                       args.width, args.step, args.n, args.k)
-    rows = [(label, *values)
-            for label, values in zip(dist.labels, dist.values.tolist())]
+    # one row of Python floats at a time, as the row is written
+    rows = ((label, *values.tolist())
+            for label, values in zip(dist.labels, dist.values))
     return {"distances": (("sample",) + dist.labels, rows),
             **_dendrogram_outputs(windows, tree)}
 
@@ -879,7 +881,7 @@ def dispatch(argv: Sequence[str]) -> int:
             key: value for key, value in options.items()
             if key not in NOT_PARAMETERS}, args.seed)
         return 0
-    except VersemetryError as exc:
+    except (VersemetryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -196,18 +196,10 @@ class SampleWindow:
     last_line: int
     composition: Mapping[str, int] = field(default_factory=dict)
 
-    @property
-    def width(self) -> int:
-        return self.last_line - self.first_line + 1
-
 
 @dataclass(frozen=True)
 class Corpus:
     poems: tuple[Poem, ...]
-
-    @property
-    def total_lines(self) -> int:
-        return sum(p.line_count for p in self.poems)
 
     def poem(self, poem_id: str) -> Poem:
         for p in self.poems:
@@ -448,18 +440,12 @@ def partition_samples(poem: Poem, sample_len: int,
     """
     if sample_len < 1:
         raise InputError("sample_len must be at least 1")
+    if line_filter is None:
+        return rolling_windows(poem, sample_len, sample_len)
     total = len(filtered_line_numbers(poem, line_filter))
-    windows = []
-    for start in range(1, total - sample_len + 2, sample_len):
-        end = start + sample_len - 1
-        windows.append(SampleWindow(
-            source=poem.id,
-            first_line=start,
-            last_line=end,
-            composition=_composition(poem, start, end) if line_filter is None
-            else {line_filter: sample_len},
-        ))
-    return windows
+    return [SampleWindow(poem.id, start, start + sample_len - 1,
+                         {line_filter: sample_len})
+            for start in range(1, total - sample_len + 2, sample_len)]
 
 
 def resolve_line_range(poem: Poem, first: int | None,

@@ -39,9 +39,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompoundIndex:
-    by_type: Mapping[str, tuple[tuple[str, int], ...]]
+    """Corpus-wide compound inventory.
+
+    ``counts[t, p]`` is the number of occurrences of lemma ``lemmas[t]`` in
+    poem ``poems[p]`` (an int64 array; lemmas in first-appearance order,
+    poems in corpus order).  ``totals`` maps each poem id to its compound
+    token count, and ``hapax_set`` holds the lemmas that occur once in the
+    whole corpus.
+    """
+
+    poems: tuple[str, ...]
+    lemmas: tuple[str, ...]
+    counts: np.ndarray
     totals: Mapping[str, int]
     hapax_set: frozenset[str]
 
@@ -72,19 +83,23 @@ class SegmentMode(Enum):
 
 def build_compound_index(corpus: Corpus) -> CompoundIndex:
     """Corpus-wide compound inventory with hapax determination."""
-    by_type: dict[str, list[tuple[str, int]]] = {}
-    totals: dict[str, int] = {}
-    for poem in corpus.poems:
-        tokens = poem.compound_tokens
-        totals[poem.id] = len(tokens.lemmas)
-        for lemma, line in zip(tokens.lemmas, tokens.lines.tolist()):
-            by_type.setdefault(lemma, []).append((poem.id, line))
-    hapaxes = frozenset(
-        lemma for lemma, places in by_type.items() if len(places) == 1)
+    poems = tuple(poem.id for poem in corpus.poems)
+    # each token's flat cell t * P + p; a new lemma takes the next number t
+    code: dict[str, int] = {}
+    cells = [code.setdefault(lemma, len(code)) * len(poems) + p
+             for p, poem in enumerate(corpus.poems)
+             for lemma in poem.compound_tokens.lemmas]
+    counts = np.bincount(np.array(cells, dtype=np.intp),
+                         minlength=len(code) * len(poems)
+                         ).reshape(len(code), len(poems))
+    lemmas = tuple(code)
+    hapaxes = np.flatnonzero(counts.sum(axis=1) == 1).tolist()
     return CompoundIndex(
-        by_type={lemma: tuple(places) for lemma, places in by_type.items()},
-        totals=totals,
-        hapax_set=hapaxes,
+        poems=poems,
+        lemmas=lemmas,
+        counts=counts,
+        totals=dict(zip(poems, counts.sum(axis=0).tolist())),
+        hapax_set=frozenset(lemmas[t] for t in hapaxes),
     )
 
 
@@ -274,23 +289,14 @@ def shared_compound_scores(
     if len(kept) < 2:
         raise AnalysisError("need at least two poems with compounds")
 
-    pos = {pid: i for i, pid in enumerate(kept)}
-    totals = np.array([index.totals[pid] for pid in kept], dtype=float)
+    # the kept poems' columns of the index, in ``kept`` order
+    counts = index.counts[:, [index.poems.index(pid) for pid in kept]]
+    totals = counts.sum(axis=0)
     weights = totals / totals.sum()
-
-    multiplicities = []
-    for lemma, places in index.by_type.items():
-        relevant = [pid for pid, _ in places if pid in pos]
-        if relevant:
-            multiplicities.append(len(relevant))
-    shared_null = _null_shared_counts(multiplicities, weights, N, rng)
-
-    observed = np.zeros((len(kept), len(kept)), dtype=np.int64)
-    for lemma, places in index.by_type.items():
-        present = sorted({pos[pid] for pid, _ in places if pid in pos})
-        for i_idx in range(len(present)):
-            for j_idx in range(i_idx + 1, len(present)):
-                observed[present[i_idx], present[j_idx]] += 1
+    shared_null = _null_shared_counts(counts.sum(axis=1).tolist(), weights,
+                                      N, rng)
+    present = (counts > 0).astype(np.int64)
+    observed = present.T @ present
 
     first, second = np.triu_indices(len(kept), 1)
     scores = []

@@ -46,7 +46,6 @@ __all__ = [
     "PairingLog",
     "RollingProportions",
     "SplitTestTable",
-    "pair_full_lines",
     "pattern_counts",
     "rolling_pattern_proportions",
     "incidence_points",
@@ -71,14 +70,9 @@ class Granularity(Enum):
 
 @dataclass(frozen=True)
 class PatternCounts:
-    granularity: Granularity
     labels: tuple[str, ...]
     counts: tuple[int, ...]
     section: tuple[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -98,9 +92,7 @@ class PairingLog:
 
 @dataclass(frozen=True)
 class RollingProportions:
-    granularity: Granularity
     width: int
-    step: int
     starts: tuple[int, ...]
     series: dict[str, tuple[float, ...]]
 
@@ -159,24 +151,13 @@ def _pairing_log(codes: np.ndarray) -> PairingLog:
                       int(np.count_nonzero(missing)))
 
 
-def pair_full_lines(poem: Poem, first: int | None = None,
-                    last: int | None = None) -> tuple[list[str], PairingLog]:
-    """Sequential full-line patterns over a range, with skip accounting."""
-    codes = _scansion_codes(poem)
-    lo, hi = resolve_line_range(poem, first, last)
-    section = codes[lo - 1:hi]
-    full = _units(section, Granularity.FULL_LINE)
-    patterns = [FULL_LABELS[c] for c in full[full >= 0].tolist()]
-    return patterns, _pairing_log(section)
-
-
 def pattern_counts(poem: Poem, granularity: Granularity,
                    first: int | None = None, last: int | None = None) -> PatternCounts:
     """Label counts over the fixed label order, zeros retained."""
     codes = _scansion_codes(poem)
     lo, hi = resolve_line_range(poem, first, last)
     prefix = _prefix_counts(codes, granularity)
-    return PatternCounts(granularity, _LABELS[granularity],
+    return PatternCounts(_LABELS[granularity],
                          tuple((prefix[hi] - prefix[lo - 1]).tolist()),
                          (lo, hi))
 
@@ -203,7 +184,7 @@ def rolling_pattern_proportions(
     props = window_counts[keep] / totals[keep, None]
     starts = tuple(int(s) for s in starts_all[keep])
     series = {lab: tuple(props[:, i]) for i, lab in enumerate(labels)}
-    return RollingProportions(granularity, width, step, starts, series)
+    return RollingProportions(width, starts, series)
 
 
 def incidence_points(poem: Poem, pattern: str,

@@ -470,13 +470,15 @@ def robustness_sweep(
     Cells whose preconditions fail (text too short, degenerate vectors, too
     few windows) are recorded with a None assignment instead of failing the
     sweep.  Stability is the fraction of populated cells agreeing with the
-    majority split up to label swap.
+    majority split.  Labels need no swap to compare splits: cluster 0 holds
+    the smallest window id, which is the first window's.
     """
     poem = corpus.poem(poem_id)
     windows = rolling_windows(poem, width, step)
     ids = tuple(window_id(w) for w in windows)
     cells = []
-    canonical_splits: list[tuple[int, ...] | None] = []
+    # each populated cell's labels in window order
+    populated: list[tuple[int, ...]] = []
     k_max = max(k_values, default=0)
     for n in n_values:
         # the ranking breaks ties lexicographically and values divide by each
@@ -498,23 +500,12 @@ def robustness_sweep(
                     pass
             if assignment is None:
                 cells.append(SweepCell(n=n, k=k, assignment=None))
-                canonical_splits.append(None)
                 continue
-            cells.append(SweepCell(
-                n=n, k=k,
-                assignment=tuple((wid, assignment[wid]) for wid in ids)))
             flat = tuple(assignment[wid] for wid in ids)
-            if flat and flat[0] == 1:
-                flat = tuple(1 - v for v in flat)
-            canonical_splits.append(flat)
+            cells.append(SweepCell(n=n, k=k, assignment=tuple(zip(ids, flat))))
+            populated.append(flat)
 
-    populated = [s for s in canonical_splits if s is not None]
-    if populated:
-        tally = Counter(populated)
-        top_count = max(tally.values())
-        majority = min(s for s, c in tally.items() if c == top_count)
-        stability = tally[majority] / len(populated)
-    else:
-        stability = 0.0
+    stability = (max(Counter(populated).values()) / len(populated)
+                 if populated else 0.0)
     return SweepResult(poem=poem_id, window_ids=ids, cells=tuple(cells),
                        stability=stability)

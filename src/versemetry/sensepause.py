@@ -26,15 +26,16 @@ for side-by-side comparison: only the first seven marks of the enumerated set
 are recognized, no comma deletion, no ellipsis suppression, and a mark is
 Final only when it is literally the last character of the line.
 
-Ratios classify a poem or part in one call and sum per-line counts over each
-sample with prefix sums.
+``window_ratio_reports`` gives the ratio of each fixed-length sample of a
+poem or part: it classifies the poem or part in one call and sums per-line
+counts over each sample with prefix sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 import unicodedata
 
 import numpy as np
@@ -50,7 +51,6 @@ __all__ = [
     "SensePauseMark",
     "RatioReport",
     "classify_sense_pauses",
-    "intraline_ratio",
     "window_ratio_reports",
     "sample_ratio_comparison",
     "mean_syllables_per_line",
@@ -202,37 +202,10 @@ def classify_sense_pauses(
             in zip(codes, rows, final, suppressed)]
 
 
-def _counted_lines(marks: Iterable[SensePauseMark]) -> tuple[list[int],
-                                                              list[int]]:
-    """Line indexes of the intraline and of the final marks that count."""
-    intraline: list[int] = []
-    final: list[int] = []
-    for mark in marks:
-        if not mark.suppressed_as_ellipsis:
-            (final if mark.position is MarkPosition.FINAL
-             else intraline).append(mark.line)
-    return intraline, final
-
-
 def _report(unit_id: str, intraline: int, final: int) -> RatioReport:
     total = intraline + final
     return RatioReport(unit_id, intraline, final,
                        intraline / total if total else None)
-
-
-def intraline_ratio(
-    lines: Iterable[VerseLine],
-    unit_id: str = "",
-    *,
-    strict_compat: bool = False,
-    ascii_quotes: bool = False,
-    count_hyphen: bool = True,
-) -> RatioReport:
-    """Aggregate pause counts over ``lines``; ratio undefined with no marks."""
-    intraline, final = _counted_lines(classify_sense_pauses(
-        list(lines), strict_compat=strict_compat, ascii_quotes=ascii_quotes,
-        count_hyphen=count_hyphen))
-    return _report(unit_id, len(intraline), len(final))
 
 
 def window_ratio_reports(poem: Poem, sample_len: int, *,
@@ -240,22 +213,27 @@ def window_ratio_reports(poem: Poem, sample_len: int, *,
                          **toggles) -> list[RatioReport]:
     """Pause counts of each ``sample_len``-line sample of a poem or part.
 
-    ``toggles`` are the classification switches of ``intraline_ratio``.  The
-    poem or part is classified in one call; a poem's line n has index n, so
-    each sample sums the per-line counts of its lines from prefix sums.
+    ``toggles`` are the classification switches of
+    ``classify_sense_pauses``.  The poem or part is classified in one call;
+    a poem's line n has index n, so each sample sums the per-line counts of
+    its lines from prefix sums.  Suppressed ellipsis dots are not counted.
     """
     numbers = filtered_line_numbers(poem, part)
     label = poem.id if part is None else f"{poem.id}/{part}"
     windows = partition_samples(poem, sample_len, line_filter=part)
     if not windows:
         return []
-    marks = classify_sense_pauses([poem.lines[n - 1] for n in numbers],
-                                  **toggles)
+    # line indexes of the intraline and of the final marks that count
+    counted: tuple[list[int], list[int]] = ([], [])
+    for mark in classify_sense_pauses([poem.lines[n - 1] for n in numbers],
+                                      **toggles):
+        if not mark.suppressed_as_ellipsis:
+            counted[mark.position is MarkPosition.FINAL].append(mark.line)
     intraline, final = (
         np.concatenate(([0], np.cumsum(np.bincount(
             np.array(indexes, dtype=np.intp),
             minlength=poem.line_count + 1)[numbers]))).tolist()
-        for indexes in _counted_lines(marks))
+        for indexes in counted)
     return [_report(f"{label}:{w.first_line}-{w.last_line}",
                     intraline[w.last_line] - intraline[w.first_line - 1],
                     final[w.last_line] - final[w.first_line - 1])

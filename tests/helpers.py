@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import unicodedata
 from collections import Counter
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 from versemetry.cli import dispatch
 from versemetry.corpus import Corpus, PartRange, Poem, VerseLine, rolling_windows
 from versemetry.errors import AnalysisError
+from versemetry.lexicon import PairScore, _null_shared_counts
 from versemetry.metre import FULL_LABELS, HALF_LABELS, Granularity, PairingLog
 from versemetry.ngramcluster import (
     Dendrogram,
@@ -204,6 +206,56 @@ def tensor_null_shared_counts(multiplicities, weights, N, rng):
     return shared
 
 
+def by_type_shared_compound_scores(corpus, poems=None, N=1000, rng=None):
+    """Reference for ``lexicon.shared_compound_scores``: a per-occurrence
+    index of each lemma's (poem, line) places, and Python loops over the
+    lemma types for the multiplicities and the observed shared counts.
+    The null draws come from the same ``lexicon._null_shared_counts``."""
+    if rng is None:
+        rng = RngStream(0)
+    by_type = {}
+    totals = {}
+    for poem in corpus.poems:
+        totals[poem.id] = 0
+        for ln in poem.lines:
+            for lemma in ln.compounds:
+                by_type.setdefault(lemma, []).append((poem.id, ln.index))
+                totals[poem.id] += 1
+    ids = list(poems) if poems is not None else [p.id for p in corpus.poems]
+    kept = [pid for pid in ids if totals[pid]]
+    if len(kept) < 2:
+        raise AnalysisError("need at least two poems with compounds")
+    pos = {pid: i for i, pid in enumerate(kept)}
+    weights = np.array([totals[pid] for pid in kept], dtype=float)
+    weights /= weights.sum()
+    multiplicities = []
+    for places in by_type.values():
+        relevant = [pid for pid, _ in places if pid in pos]
+        if relevant:
+            multiplicities.append(len(relevant))
+    shared_null = _null_shared_counts(multiplicities, weights, N, rng)
+    observed = np.zeros((len(kept), len(kept)), dtype=np.int64)
+    for places in by_type.values():
+        present = sorted({pos[pid] for pid, _ in places if pid in pos})
+        for i_idx in range(len(present)):
+            for j_idx in range(i_idx + 1, len(present)):
+                observed[present[i_idx], present[j_idx]] += 1
+    scores = []
+    for null_ij, i, j in zip(shared_null.T, *np.triu_indices(len(kept), 1)):
+        mean = float(null_ij.mean())
+        sd = float(null_ij.std(ddof=1))
+        obs = int(observed[i, j])
+        if sd > 0:
+            z = (obs - mean) / sd
+        elif obs == mean:
+            z = 0.0
+        else:
+            z = math.copysign(math.inf, obs - mean)
+        tail = float(np.count_nonzero(null_ij >= obs)) / N
+        scores.append(PairScore(kept[i], kept[j], obs, mean, sd, z, tail))
+    return scores
+
+
 def rowsum_homogeneity_stats(a, b):
     """Reference for ``stats._homogeneity_stats``: group sizes from row sums."""
     n_a = a.sum(axis=1, keepdims=True)
@@ -262,8 +314,9 @@ def loop_label_tallies(poem, first, last):
 
 
 def loop_pair_full_lines(poem, first, last):
-    """Reference for ``metre.pair_full_lines``: the sequential pairing rule
-    over lines ``first..last``, one line at a time."""
+    """Reference for the full-line counts of ``metre.pattern_counts`` and for
+    ``metre._pairing_log``: the sequential pairing rule over lines
+    ``first..last``, one line at a time."""
     patterns = []
     missing_a = missing_b = warnings = 0
     for ln in poem.lines[first - 1:last]:

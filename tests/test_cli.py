@@ -407,6 +407,26 @@ def test_convert_empty_dataset(tmp_path, capsys):
     assert "no poem text files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["shared", "--corpus", "CORPUS"],
+    ["report", "--corpus", "CORPUS", "--bootstrap", "1000"],
+    ["convert", "DATASET"],
+], ids=["shared", "report", "convert"])
+def test_unwritable_out_is_one_error_line(corpus_dir, tmp_path, capsys, argv):
+    # --out names a file, so no output directory can be made under it
+    make_dataset(tmp_path / "dataset")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n", encoding="utf-8")
+    places = {"CORPUS": str(corpus_dir), "DATASET": str(tmp_path / "dataset")}
+    code = dispatch([places.get(arg, arg) for arg in argv]
+                    + ["--out", str(blocker)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and str(blocker) in err[0]
+    assert blocker.read_text(encoding="utf-8") == "a file\n"
+
+
 # table outputs --------------------------------------------------------------
 
 def test_sensepause_outputs(corpus_dir, tmp_path):

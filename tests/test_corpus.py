@@ -44,7 +44,7 @@ def _two_poem_corpus(tmp_path):
 def test_parse_two_poem_fixture(tmp_path):
     corpus = parse_corpus(_two_poem_corpus(tmp_path))
     assert len(corpus.poems) == 2
-    assert corpus.total_lines == 20
+    assert [p.line_count for p in corpus.poems] == [10, 10]
     alpha = corpus.poem("alpha")
     assert alpha.line(1).a_pattern == "A"
     assert alpha.line(10).b_pattern == "B"
@@ -431,7 +431,7 @@ def test_partition_covers_prefix_contiguously(n, sample_len):
     windows = partition_samples(poem, sample_len)
     covered = [i for w in windows for i in range(w.first_line, w.last_line + 1)]
     assert covered == list(range(1, len(windows) * sample_len + 1))
-    assert all(w.width == sample_len for w in windows)
+    assert all(w.last_line - w.first_line + 1 == sample_len for w in windows)
 
 
 def test_line_range_defaults_to_the_whole_poem():

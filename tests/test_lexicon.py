@@ -1,6 +1,7 @@
 """Compound index, hapax regressions, and the shared-compound null model."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -26,6 +27,7 @@ from versemetry.stats import RngStream, ols_fit
 from helpers import (
     build_corpus,
     build_poem,
+    by_type_shared_compound_scores,
     multinomial_null_shared_counts,
     null_allocated_compound_corpus,
     per_type_null_allocated_compound_corpus,
@@ -74,8 +76,17 @@ class TestCompoundIndex:
             "heofonrice", "heolodcynn", "wordhord", "banhelm", "flodweg",
             "gastgehygd"}
         assert index.totals == {"p1": 4, "p2": 4, "p3": 6}
-        assert index.by_type["goldwine"] == (("p1", 1), ("p1", 2))
-        assert index.by_type["sundwudu"] == (("p2", 2), ("p2", 2))
+        assert index.poems == ("p1", "p2", "p3")
+        # lemmas in first-appearance order, one count per poem
+        assert index.lemmas == tuple(recount)
+        assert index.counts.dtype == np.int64
+        assert dict(zip(index.lemmas, index.counts.tolist())) == {
+            "goldwine": [2, 0, 0], "beadoleoma": [1, 1, 0],
+            "heofonrice": [1, 0, 0], "sundwudu": [0, 2, 0],
+            "hronrad": [0, 1, 1], "heolodcynn": [0, 0, 1],
+            "wordhord": [0, 0, 1], "banhelm": [0, 0, 1],
+            "flodweg": [0, 0, 1], "gastgehygd": [0, 0, 1]}
+        assert index.counts.sum(axis=1).tolist() == list(recount.values())
 
     def test_cross_poem_lemma_not_hapax(self):
         corpus = build_corpus(
@@ -321,6 +332,35 @@ class TestSharedCompoundScores:
                     multiplicities, weights, seed=101, stream=stream)
                 == per_type_null_allocated_compound_corpus(
                     multiplicities, weights, seed=101, stream=stream))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(1, 3),
+                                       st.sampled_from("abcdefg")),
+                             max_size=12),
+                    min_size=2, max_size=6), st.data())
+    def test_matches_by_type_reference(self, tokens, data):
+        # the count-matrix scorer gives the scores of the per-occurrence
+        # index and its loops over types, on the same stream
+        corpus = build_corpus(*(
+            build_poem(f"q{p}", 3, compounds={
+                line: tuple(lemma for at, lemma in poem_tokens if at == line)
+                for line in (1, 2, 3)})
+            for p, poem_tokens in enumerate(tokens)))
+        ids = [poem.id for poem in corpus.poems]
+        poems = data.draw(st.one_of(
+            st.none(),
+            st.permutations(ids).flatmap(
+                lambda order: st.integers(0, len(order)).map(
+                    lambda size: order[:size]))))
+        results = []
+        for scorer in (shared_compound_scores, by_type_shared_compound_scores):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    results.append(scorer(corpus, poems, 1000, RngStream(6)))
+                except AnalysisError:
+                    results.append("too few poems")
+        assert results[0] == results[1]
 
     def test_pair_score_fields_round_trip(self):
         score = PairScore("a", "b", 3, 1.5, 0.5, 3.0, 0.01)

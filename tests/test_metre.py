@@ -1,5 +1,7 @@
 """Tests for pattern tabulation, rolling proportions, and split tests."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,10 @@ from versemetry.metre import (
     HALF_LABELS,
     Granularity,
     PairingLog,
+    _pairing_log,
     cumulative_incidence_r,
     halves_independence_test,
     incidence_points,
-    pair_full_lines,
     pattern_counts,
     rolling_pattern_proportions,
     split_distribution_tests,
@@ -53,10 +55,24 @@ def test_label_universes():
 # Pairing
 # ---------------------------------------------------------------------------
 
+def full_line_pairing(poem, first=None, last=None):
+    """Full-line counts and pairing log of a line range, as ``pattern_counts``
+    and the split tests' ``_pairing_log`` give them, checked against the
+    line-by-line pairing rule."""
+    counts = pattern_counts(poem, Granularity.FULL_LINE, first, last)
+    lo, hi = counts.section
+    log = _pairing_log(poem.scansion_codes[lo - 1:hi])
+    patterns, want_log = loop_pair_full_lines(poem, lo, hi)
+    tally = Counter(patterns)
+    assert counts.counts == tuple(tally[label] for label in FULL_LABELS)
+    assert log == want_log
+    return dict(zip(FULL_LABELS, counts.counts)), log
+
+
 def test_pair_full_lines_basic():
     poem = build_poem("p", 1, pattern_fn=lambda i: ("A", "B"))
-    patterns, log = pair_full_lines(poem)
-    assert patterns == ["AB"]
+    tally, log = full_line_pairing(poem)
+    assert {label: c for label, c in tally.items() if c} == {"AB": 1}
     assert log == PairingLog(1, 0, 0, 0)
 
 
@@ -64,8 +80,8 @@ def test_pair_skips_and_logs_missing_halves():
     layout = {1: ("A", "B"), 2: ("A", None), 3: (None, "C"),
               4: (None, None), 5: ("D", "E")}
     poem = build_poem("p", 5, pattern_fn=lambda i: layout[i])
-    patterns, log = pair_full_lines(poem)
-    assert patterns == ["AB", "DE"]
+    tally, log = full_line_pairing(poem)
+    assert {label: c for label, c in tally.items() if c} == {"AB": 1, "DE": 1}
     assert log.paired == 2
     assert log.skipped_missing_a == 2  # lines 3 and 4
     assert log.skipped_missing_b == 1  # line 2
@@ -75,22 +91,23 @@ def test_pair_skips_and_logs_missing_halves():
 
 def test_pair_fully_scanned_has_no_skips():
     poem = build_poem("p", 10, pattern_fn=lambda i: ("A", "A"))
-    patterns, log = pair_full_lines(poem)
-    assert len(patterns) == 10
+    tally, log = full_line_pairing(poem)
+    assert sum(tally.values()) == 10
     assert log == PairingLog(10, 0, 0, 0)
 
 
 def test_pair_requires_scansion():
     with pytest.raises(AnalysisError, match="poem bare unscanned"):
-        pair_full_lines(build_poem("bare", 5))
+        pattern_counts(build_poem("bare", 5), Granularity.FULL_LINE)
 
 
 def test_pair_respects_range():
     poem = build_poem("p", 10, pattern_fn=lambda i: ("A", "B"))
-    patterns, log = pair_full_lines(poem, 3, 7)
-    assert len(patterns) == 5
+    tally, log = full_line_pairing(poem, 3, 7)
+    assert sum(tally.values()) == 5
+    assert log == PairingLog(5, 0, 0, 0)
     with pytest.raises(AnalysisError, match="bad line range"):
-        pair_full_lines(poem, 5, 11)
+        pattern_counts(poem, Granularity.FULL_LINE, 5, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +120,7 @@ def test_half_line_counts():
     counts = pattern_counts(poem, Granularity.HALF_LINE)
     assert counts.labels == HALF_LABELS
     assert counts.counts == (2, 1, 1, 0, 1)
-    assert counts.total == 5
+    assert sum(counts.counts) == 5
     assert counts.section == (1, 3)
 
 
@@ -122,8 +139,8 @@ def test_full_line_counts():
 def test_full_counts_match_pairing_log():
     poem = iid_scansion_poem("p", 300, UNIFORM, seed=3)
     counts = pattern_counts(poem, Granularity.FULL_LINE)
-    _, log = pair_full_lines(poem)
-    assert counts.total == log.paired
+    _, log = full_line_pairing(poem)
+    assert sum(counts.counts) == log.paired
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +201,7 @@ def test_rolling_at_step_width_matches_partition_counts():
                                 start, start + width - 1)
         for i, lab in enumerate(HALF_LABELS):
             assert rolled.series[lab][k] == pytest.approx(
-                counts.counts[i] / counts.total)
+                counts.counts[i] / sum(counts.counts))
 
 
 def test_rolling_width_larger_than_poem():
@@ -346,8 +363,8 @@ def test_split_boot_matches_two_draw_reference(case):
     make_poem, split, B, seed = SUITE_SPLITS[case]
     poem = make_poem()
     table = split_distribution_tests(poem, split, B=B, rng=RngStream(seed))
-    before, _ = pair_full_lines(poem, 1, split)
-    after, _ = pair_full_lines(poem, split + 1)
+    before, _ = loop_pair_full_lines(poem, 1, split)
+    after, _ = loop_pair_full_lines(poem, split + 1, poem.line_count)
     want = two_draw_bootstrap_p(
         before + after, len(before), len(after),
         table.full_homogeneity.statistic, table.full_gof.statistic, B,
@@ -414,8 +431,7 @@ def test_tallies_match_loop_reference(seed):
                               first, last).counts == full
         assert halves_independence_test(poem, first, last) == \
             chi2_independence(table)
-        assert pair_full_lines(poem, first, last) == \
-            loop_pair_full_lines(poem, first, last)
+        full_line_pairing(poem, first, last)
     for granularity, labels in ((Granularity.HALF_LINE, HALF_LABELS),
                                 (Granularity.FULL_LINE, FULL_LABELS)):
         for pattern in labels + ("Z", "AAA"):

@@ -1,6 +1,8 @@
-"""The runtime imports nothing outside the standard library and numpy."""
+"""The runtime imports nothing outside the standard library and numpy, and
+exports only names it defines."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -37,3 +39,21 @@ def test_cli_import_loads_no_pool_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_every_exported_name_exists_and_is_listed_once():
+    # a definition deleted without its __all__ entry fails here, not in a
+    # user's star import
+    checked = 0
+    for path in SOURCES:
+        if "__all__" not in path.read_text("utf-8"):
+            continue
+        module = importlib.import_module(
+            "versemetry" if path.stem == "__init__"
+            else f"versemetry.{path.stem}")
+        names = module.__all__
+        assert len(names) == len(set(names)), path.name
+        assert [name for name in names if not hasattr(module, name)] == [], \
+            path.name
+        checked += 1
+    assert checked >= 8

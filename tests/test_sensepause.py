@@ -17,7 +17,6 @@ from versemetry.sensepause import (
     RatioReport,
     SensePauseMark,
     classify_sense_pauses,
-    intraline_ratio,
     mean_syllables_per_line,
     sample_ratio_comparison,
     window_ratio_reports,
@@ -29,6 +28,16 @@ ERRATA = pathlib.Path(__file__).parent / "fixtures" / "errata"
 
 def line_of(a_text, b_text="", index=1):
     return VerseLine(index=index, a_text=a_text, b_text=b_text)
+
+
+def one_sample_ratio(lines, **toggles):
+    """The counts and ratio of ``window_ratio_reports`` on a poem of
+    ``lines`` taken as one sample."""
+    poem = build_poem("u", len(lines), text_fn=lambda i: (
+        lines[i - 1].a_text, lines[i - 1].b_text))
+    (report,) = window_ratio_reports(poem, len(lines), **toggles)
+    assert report.unit_id == f"u:1-{len(lines)}"
+    return report.intraline_count, report.final_count, report.ratio
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +80,12 @@ def test_ellipsis_dots_counted_in_strict_mode(errata_poem):
 
 
 def test_errata_ratios_differ_between_modes(errata_poem):
-    corrected = intraline_ratio(errata_poem.lines, "errata")
-    strict = intraline_ratio(errata_poem.lines, "errata", strict_compat=True)
-    assert corrected == RatioReport("errata", 1, 1, 0.5)
+    n = errata_poem.line_count
+    corrected = window_ratio_reports(errata_poem, n)
+    strict = window_ratio_reports(errata_poem, n, strict_compat=True)
+    assert corrected == [RatioReport(f"errata:1-{n}", 1, 1, 0.5)]
     # strict: brackets intraline, 5 unsuppressed dots intraline, nothing final
-    assert strict == RatioReport("errata", 7, 0, 1.0)
+    assert strict == [RatioReport(f"errata:1-{n}", 7, 0, 1.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +269,14 @@ def test_window_counts_match_loops(halves, sample_len, toggles):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(KERNEL_TEXT, KERNEL_TEXT), max_size=6),
+@given(st.lists(st.tuples(KERNEL_TEXT, KERNEL_TEXT), min_size=1, max_size=6),
        st.sampled_from(TOGGLES))
 def test_ratio_counts_the_unsuppressed_marks(halves, toggles):
     lines = [line_of(a, b, index=i) for i, (a, b) in enumerate(halves, start=1)]
     counted = [mark.position for mark in classify_sense_pauses(lines, **toggles)
                if not mark.suppressed_as_ellipsis]
-    report = intraline_ratio(lines, "u", **toggles)
-    assert (report.intraline_count, report.final_count) == (
+    intraline, final, _ = one_sample_ratio(lines, **toggles)
+    assert (intraline, final) == (
         counted.count(MarkPosition.INTRALINE), counted.count(MarkPosition.FINAL))
 
 
@@ -308,33 +318,30 @@ def test_no_lines_no_marks():
 # ---------------------------------------------------------------------------
 
 def test_ratio_half_and_half():
-    report = intraline_ratio([line_of("a. b.")], "u")
-    assert report == RatioReport("u", 1, 1, 0.5)
+    assert one_sample_ratio([line_of("a. b.")]) == (1, 1, 0.5)
 
 
 def test_ratio_zero_when_only_final():
     lines = [line_of(f"word {i}.", index=i) for i in range(1, 4)]
-    report = intraline_ratio(lines, "u")
-    assert report.ratio == 0.0
-    assert report.final_count == 3
+    _, final, ratio = one_sample_ratio(lines)
+    assert ratio == 0.0
+    assert final == 3
 
 
 def test_ratio_three_tenths():
     lines = [line_of("a; b; c; x.", index=1)] + [
         line_of(f"w {i}.", index=i) for i in range(2, 8)]
-    report = intraline_ratio(lines, "u")
-    assert (report.intraline_count, report.final_count) == (3, 7)
-    assert report.ratio == pytest.approx(0.3)
+    intraline, final, ratio = one_sample_ratio(lines)
+    assert (intraline, final) == (3, 7)
+    assert ratio == pytest.approx(0.3)
 
 
 def test_ratio_undefined_without_marks():
-    report = intraline_ratio([line_of("no marks here")], "u")
-    assert report == RatioReport("u", 0, 0, None)
+    assert one_sample_ratio([line_of("no marks here")]) == (0, 0, None)
 
 
 def test_suppressed_dots_contribute_to_no_ratio():
-    report = intraline_ratio([line_of("abc... def; ghi.")], "u")
-    assert report == RatioReport("u", 1, 1, 0.5)
+    assert one_sample_ratio([line_of("abc... def; ghi.")]) == (1, 1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +363,7 @@ def verse_lines(draw):
 
 @given(verse_lines(), st.data())
 def test_comma_insertion_never_changes_counts(line, data):
-    base = intraline_ratio([line], "u")
+    base = one_sample_ratio([line])
     text = line.a_text
     positions = sorted(
         data.draw(st.lists(st.integers(min_value=0, max_value=len(text)),
@@ -365,7 +372,7 @@ def test_comma_insertion_never_changes_counts(line, data):
     )
     for pos in positions:
         text = text[:pos] + "," + text[pos:]
-    assert intraline_ratio([line_of(text)], "u") == base
+    assert one_sample_ratio([line_of(text)]) == base
 
 
 @given(verse_lines())
@@ -374,13 +381,13 @@ def test_appending_period_never_increases_ratio(line):
     # removing a final mark instead of adding one, so such lines are excluded
     if line.a_text.replace(",", "").rstrip().endswith("."):
         return
-    before = intraline_ratio([line], "u")
-    after = intraline_ratio([line_of(line.a_text + ".")], "u")
-    if before.ratio is None:
-        assert after.ratio in (None, 0.0)
+    _, _, before = one_sample_ratio([line])
+    _, _, after = one_sample_ratio([line_of(line.a_text + ".")])
+    if before is None:
+        assert after in (None, 0.0)
     else:
-        assert after.ratio is not None
-        assert after.ratio <= before.ratio
+        assert after is not None
+        assert after <= before
 
 
 @given(verse_lines())
@@ -392,8 +399,8 @@ def test_replacing_dots_with_commas_removes_dot_marks(line):
 
 @given(verse_lines(), st.text(alphabet=" \t", max_size=4))
 def test_counts_invariant_under_trailing_whitespace(line, tail):
-    base = intraline_ratio([line], "u")
-    assert intraline_ratio([line_of(line.a_text + tail)], "u") == base
+    base = one_sample_ratio([line])
+    assert one_sample_ratio([line_of(line.a_text + tail)]) == base
 
 
 # ---------------------------------------------------------------------------
