@@ -485,9 +485,8 @@ def cmd_shared(args: argparse.Namespace, corpus: Corpus) -> dict:
 def _cluster_windows(corpus: Corpus, poems: Sequence[str] | None,
                      width: int, step: int):
     ids = poems if poems else [p.id for p in corpus.poems]
-    windows = []
-    for pid in ids:
-        windows.extend(rolling_windows(corpus.poem(pid), width, step))
+    windows = [window for pid in ids
+               for window in rolling_windows(corpus.poem(pid), width, step)]
     if len(windows) < 2:
         raise AnalysisError(
             f"need at least two {width}-line windows across poems {list(ids)}")
@@ -518,21 +517,25 @@ def _dendrogram_outputs(windows, tree) -> dict:
     }
 
 
+def _matrix_table(labels, columns, matrix) -> tuple:
+    """One labelled row per matrix row, made Python floats (a numpy scalar
+    would write as ``np.float64(...)``) one row at a time, as it is written."""
+    return (("sample", *columns),
+            ((label, *row.tolist()) for label, row in zip(labels, matrix)))
+
+
 def cmd_cluster_profiles(args: argparse.Namespace, corpus: Corpus) -> dict:
     windows = _cluster_windows(corpus, _poem_ids(args.poems), args.width,
                                args.step)
     profiles = build_profiles(corpus, windows, args.n, args.k)
-    rows = [(window_id(p.sample), *p.values) for p in profiles]
-    return {"features": (("sample",) + profiles[0].features, rows)}
+    return {"features": _matrix_table(map(window_id, windows),
+                                      profiles.features, profiles.values)}
 
 
 def cmd_cluster_dendrogram(args: argparse.Namespace, corpus: Corpus) -> dict:
     windows, dist, tree = _dendrogram(corpus, _poem_ids(args.poems),
                                       args.width, args.step, args.n, args.k)
-    # one row of Python floats at a time, as the row is written
-    rows = ((label, *values.tolist())
-            for label, values in zip(dist.labels, dist.values))
-    return {"distances": (("sample",) + dist.labels, rows),
+    return {"distances": _matrix_table(dist.labels, dist.labels, dist.values),
             **_dendrogram_outputs(windows, tree)}
 
 
@@ -550,23 +553,19 @@ def _int_list(text: str) -> list[int]:
 def _sweep_outputs(poem: Poem, result, width: int) -> dict:
     """Per-window assignments, a summary and a strip figure of the sweep."""
     _check_window_fits(poem, width)
-    rows = [
-        (cell.n, cell.k, sample, label)
-        for cell in result.cells if cell.assignment is not None
-        for sample, label in cell.assignment
-    ]
-    strips = tuple(
-        (f"n={cell.n} k={cell.k}",
-         tuple(label for _, label in cell.assignment)
-         if cell.assignment is not None else (None,) * len(result.window_ids))
-        for cell in result.cells)
+    rows = [(cell.n, cell.k, sample, label)
+            for cell in result.cells if cell.labels is not None
+            for sample, label in zip(result.window_ids, cell.labels)]
+    strips = tuple((f"n={cell.n} k={cell.k}",
+                    cell.labels or (None,) * len(result.window_ids))
+                   for cell in result.cells)
     return {
         "sweep": (("n", "k", "sample", "cluster"), rows),
         "sweep.json": {
             "poem": result.poem, "stability": result.stability,
             "window_ids": list(result.window_ids),
             "cells": [{"n": c.n, "k": c.k,
-                       "populated": c.assignment is not None}
+                       "populated": c.labels is not None}
                       for c in result.cells]},
         "sweep.svg": FigureSpec(
             kind=FigureKind.SWEEP_STRIP, series=strips,

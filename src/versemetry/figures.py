@@ -285,14 +285,14 @@ def _render_sweep_strip(canvas: _Canvas, spec: FigureSpec) -> None:
         y = MARGIN_T + r * cell_h
         canvas.text(MARGIN_L - 8, y + cell_h / 2 + 3, label, size=9,
                     anchor="end")
-        for c in range(n_cols):
-            value = values[c] if c < len(values) else None
-            if value is None:
-                fill = ABSENT_FILL
-            else:
-                fill = PALETTE[int(value) % len(PALETTE)]
-            canvas.rect(MARGIN_L + c * cell_w, y, cell_w, cell_h, fill=fill,
-                        stroke="#ffffff")
+        # one mark per window, formatted as ``_Canvas.rect`` would; a short
+        # strip ends in absent cells
+        size = f'y="{y:.2f}" width="{cell_w:.2f}" height="{cell_h:.2f}"'
+        canvas.parts += [
+            f'<rect x="{MARGIN_L + c * cell_w:.2f}" {size} fill="'
+            f'{ABSENT_FILL if v is None else PALETTE[int(v) % len(PALETTE)]}" '
+            'stroke="#ffffff"/>'
+            for c, v in enumerate(values + (None,) * (n_cols - len(values)))]
     _titles(canvas, spec)
 
 

@@ -269,7 +269,8 @@ def shared_compound_scores(
     """Observed vs null shared-compound-type scores for every poem pair.
 
     Poems without compound tokens are excluded with a warning; an id that
-    names no poem raises the corpus's ``CorpusError``.  The result
+    names no poem raises the corpus's ``CorpusError``, and one named twice
+    an ``InputError``.  The result
     covers unordered pairs (a before b in the input order); the underlying
     relation is symmetric and diagonals are never reported.
     """
@@ -282,6 +283,8 @@ def shared_compound_scores(
     kept = []
     for pid in ids:
         corpus.poem(pid)  # an id that names no poem is an error
+        if ids.count(pid) > 1:
+            raise InputError(f"poems names poem {pid!r} more than once")
         if index.totals[pid] == 0:
             warnings.warn(f"poem {pid} has no compound tokens; excluded")
         else:

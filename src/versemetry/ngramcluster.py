@@ -7,7 +7,9 @@ space, and padded with one leading and trailing space so word-boundary grams
 are counted.  Features are the global top-k n-grams by total count across
 all samples in the analysis (ties broken lexicographically) and profile
 values are relative frequencies against each sample's full n-gram total, so
-a profile restricted to the top-k sums to at most 1.
+a profile restricted to the top-k sums to at most 1.  A call's profiles are
+one samples x features matrix, and the robustness sweep takes each k's
+profiles as the first k columns of one top-k_max matrix.
 
 Counting works on one integer gram-code array per poem.  Tokens never span
 lines, so a window's padded text " <text> " is a substring of its poem's
@@ -42,7 +44,7 @@ from .errors import AnalysisError
 __all__ = [
     "DistanceMatrix",
     "Dendrogram",
-    "NgramProfile",
+    "ProfileMatrix",
     "SweepCell",
     "SweepResult",
     "agglomerative_complete",
@@ -64,11 +66,14 @@ DEFAULT_N_VALUES = (2, 3, 4, 5)
 DEFAULT_K_VALUES = tuple(range(100, 1001, 50))
 
 
-@dataclass(frozen=True)
-class NgramProfile:
-    sample: SampleWindow
+@dataclass(frozen=True, eq=False)
+class ProfileMatrix:
+    """``values[i, j]``: the relative frequency of ``features[j]`` in
+    ``samples[i]``, in a read-only, C-contiguous float64 array."""
+
+    samples: tuple[SampleWindow, ...]
     features: tuple[str, ...]
-    values: tuple[float, ...]
+    values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +96,12 @@ class Dendrogram:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """Each window's top-two cluster, in ``SweepResult.window_ids`` order;
+    None for a cell that could not be clustered."""
+
     n: int
     k: int
-    assignment: tuple[tuple[str, int], ...] | None
+    labels: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -110,13 +118,9 @@ def window_id(sample: SampleWindow) -> str:
 
 def majority_part(sample: SampleWindow) -> str:
     """Majority part label of a window; composition-order first on ties."""
-    best = None
-    for name, count in sample.composition.items():
-        if best is None or count > best[1]:
-            best = (name, count)
-    if best is None:
+    if not sample.composition:
         raise AnalysisError(f"sample {window_id(sample)} has empty composition")
-    return best[0]
+    return max(sample.composition, key=sample.composition.get)
 
 
 def _stream_ranks(stream: str, rank: np.ndarray) -> np.ndarray:
@@ -206,14 +210,14 @@ def build_profiles(
     samples: Sequence[SampleWindow],
     n: int,
     k: int,
-) -> list[NgramProfile]:
+) -> ProfileMatrix:
     """Profiles over the global top-k n-grams across all given samples."""
     if not 2 <= n <= 5:
         raise AnalysisError(f"n must be in [2, 5], got {n}")
     if k < 1:
         raise AnalysisError(f"k must be at least 1, got {k}")
     if not samples:
-        return []
+        return ProfileMatrix((), (), np.empty((0, 0)))
     # every window is a [start, end) range of gram positions in the stream
     # of its poem; poems are counted one at a time, which bounds the memory
     # of a call by its largest poem
@@ -265,53 +269,57 @@ def build_profiles(
 
     feature = np.full(merged.size, top.size)
     feature[top] = np.arange(top.size)
-    counts = np.empty((top.size, len(samples)), dtype=np.int64)
+    # counts are exact in float64, so the quotients are those of the counts
+    values = np.empty((len(samples), top.size))
     cuts = np.cumsum([g.size for g in grams])[:-1]
     for (stream, members), local, local_feature in zip(
             streams, grams, np.split(feature[gram_of], cuts)):
         wanted = local_feature < top.size
-        counts[:, members] = _poem_counts(
+        values[members] = _poem_counts(
             stream, rank, radix, n, local[wanted], local_feature[wanted],
-            top.size, starts_at[members], ends_at[members])
-    values = (counts / (ends_at - starts_at)).T.tolist()
-    return [NgramProfile(sample=sample, features=features, values=tuple(row))
-            for sample, row in zip(samples, values)]
+            top.size, starts_at[members], ends_at[members]).T
+    values /= (ends_at - starts_at)[:, None]
+    values.flags.writeable = False
+    return ProfileMatrix(tuple(samples), features, values)
 
 
-def cosine_distance_matrix(profiles: Sequence[NgramProfile]) -> DistanceMatrix:
+def _unallocatable(count: int) -> AnalysisError:
+    size = 8 * count * count
+    return AnalysisError(
+        f"{count} windows: cannot allocate {size} bytes ({size / 2 ** 30:.1f} "
+        f"GiB) for {count} x {count} distances; a larger --step or fewer "
+        "--poems gives fewer windows")
+
+
+def cosine_distance_matrix(profiles: ProfileMatrix) -> DistanceMatrix:
     """Pairwise 1 − cosine similarity; symmetric with zero diagonal."""
-    if len(profiles) < 2:
+    if len(profiles.samples) < 2:
         raise AnalysisError("need at least two profiles")
-    labels = tuple(window_id(p.sample) for p in profiles)
-    matrix = np.array([p.values for p in profiles], dtype=float)
+    labels = tuple(map(window_id, profiles.samples))
+    # a column slice, copied C-contiguous, feeds BLAS as a full matrix would
+    matrix = np.array(profiles.values, dtype=float, order="C")
     norms = np.linalg.norm(matrix, axis=1)
     for label, norm in zip(labels, norms):
         if norm == 0.0:
             raise AnalysisError(
                 f"sample {label}: zero profile vector (no top-k grams present)")
     matrix /= norms[:, None]
-    # two n x n float arrays in all: the product and the symmetrised
-    # distances, each updated in place
-    raw = matrix @ matrix.T
-    np.subtract(1.0, raw, out=raw)
-    # nonnegative vectors keep cosine in [0,1]; anything further out than
-    # rounding noise means broken inputs
-    assert raw.min() > -1e-9 and raw.max() < 1.0 + 1e-9
-    dist = raw + raw.T
-    dist /= 2.0
-    np.clip(dist, 0.0, 1.0, out=dist)
-    np.fill_diagonal(dist, 0.0)
-    assert np.array_equal(dist, dist.T)
+    try:
+        # two n x n float arrays in all: the product and the symmetrised
+        # distances, each updated in place
+        raw = matrix @ matrix.T
+        np.subtract(1.0, raw, out=raw)
+        # nonnegative vectors keep cosine in [0,1]; anything further out
+        # than rounding noise means broken inputs
+        assert raw.min() > -1e-9 and raw.max() < 1.0 + 1e-9
+        dist = raw + raw.T
+        dist /= 2.0
+        np.clip(dist, 0.0, 1.0, out=dist)
+        np.fill_diagonal(dist, 0.0)
+        assert np.array_equal(dist, dist.T)
+    except MemoryError:
+        raise _unallocatable(len(labels)) from None
     return DistanceMatrix(labels=labels, values=dist)
-
-
-def _refresh(work: np.ndarray, node: np.ndarray, rows: np.ndarray,
-             nearest: np.ndarray, partner: np.ndarray) -> None:
-    """Cache each row's smallest distance and the smallest node id at it."""
-    block = work[rows]
-    nearest[rows] = block.min(axis=1)
-    partner[rows] = np.where(block == nearest[rows, None], node,
-                             2 * node.size).min(axis=1)
 
 
 def agglomerative_complete(dist: DistanceMatrix) -> Dendrogram:
@@ -324,17 +332,21 @@ def agglomerative_complete(dist: DistanceMatrix) -> Dendrogram:
     distance and the new node has the largest id, so every other cache stays
     exact (Müllner 2011, arXiv:1109.2378).
     """
-    n = len(dist.labels)
-    if not np.isfinite(dist.values).all():
+    n, values = len(dist.labels), dist.values
+    # min and max read the matrix without an n x n temporary; NaN fails both
+    if values.size and not (values.min() > -np.inf and values.max() < np.inf):
         raise AnalysisError("distances must be finite")
     if n < 2:
         return Dendrogram(merges=(), leaves=dist.labels)
-    work = dist.values.astype(float)
+    try:
+        work = values.astype(float)
+    except MemoryError:
+        raise _unallocatable(n) from None
     np.fill_diagonal(work, np.inf)
     node = np.arange(n)  # node id held by each row
     row_of = np.arange(2 * n - 1)  # row holding each node id
-    nearest, partner = np.empty(n), np.empty(n, dtype=node.dtype)
-    _refresh(work, node, node, nearest, partner)
+    # node ids are still column indices: argmin gives the smallest id at a min
+    nearest, partner = work.min(axis=1), work.argmin(axis=1)
     merges = []
     for next_id in range(n, 2 * n - 1):
         height = nearest.min()
@@ -352,9 +364,12 @@ def agglomerative_complete(dist: DistanceMatrix) -> Dendrogram:
         nearest[row_b], partner[row_b] = np.inf, -1
         node[row_a] = next_id
         row_of[next_id] = row_a
-        _refresh(work, node, np.append(
-            np.flatnonzero((partner == a) | (partner == b)), row_a),
-            nearest, partner)
+        # refresh the merged row and the rows whose partner it consumed
+        rows = np.append(np.flatnonzero((partner == a) | (partner == b)), row_a)
+        block = work[rows]
+        nearest[rows] = block.min(axis=1)
+        partner[rows] = np.where(block == nearest[rows, None], node,
+                                 2 * n).min(axis=1)
         merges.append((a, b, float(height)))
     return Dendrogram(merges=tuple(merges), leaves=dist.labels)
 
@@ -378,16 +393,9 @@ def top_two_assignment(dendrogram: Dendrogram) -> dict[str, int]:
     """Cut at the final merge; cluster 0 holds the smallest sample id."""
     if len(dendrogram.leaves) < 2:
         raise AnalysisError("need at least two leaves")
-    last_a, last_b, _ = dendrogram.merges[-1]
-    side_a = [dendrogram.leaves[i] for i in leaf_members(dendrogram, last_a)]
-    side_b = [dendrogram.leaves[i] for i in leaf_members(dendrogram, last_b)]
-    if min(side_a) <= min(side_b):
-        zero, one = side_a, side_b
-    else:
-        zero, one = side_b, side_a
-    assignment = {leaf: 0 for leaf in zero}
-    assignment.update({leaf: 1 for leaf in one})
-    return assignment
+    sides = sorted(([dendrogram.leaves[i] for i in leaf_members(dendrogram, node)]
+                    for node in dendrogram.merges[-1][:2]), key=min)
+    return {leaf: cluster for cluster, side in enumerate(sides) for leaf in side}
 
 
 def clustering_quality(
@@ -399,14 +407,9 @@ def clustering_quality(
         raise AnalysisError("assignment and truth cover different samples")
     samples = sorted(assignment)
     total = len(samples)
-    contingency: dict[tuple[int, str], int] = {}
-    cluster_sizes: dict[int, int] = {}
-    label_sizes: dict[str, int] = {}
-    for s in samples:
-        c, t = assignment[s], truth[s]
-        contingency[(c, t)] = contingency.get((c, t), 0) + 1
-        cluster_sizes[c] = cluster_sizes.get(c, 0) + 1
-        label_sizes[t] = label_sizes.get(t, 0) + 1
+    contingency = Counter((assignment[s], truth[s]) for s in samples)
+    cluster_sizes = Counter(assignment[s] for s in samples)
+    label_sizes = Counter(truth[s] for s in samples)
 
     purity = sum(
         max(contingency.get((c, t), 0) for t in label_sizes)
@@ -468,42 +471,37 @@ def robustness_sweep(
     """Top-two assignments for every (n, k) cell over one poem's windows.
 
     Cells whose preconditions fail (text too short, degenerate vectors, too
-    few windows) are recorded with a None assignment instead of failing the
-    sweep.  Stability is the fraction of populated cells agreeing with the
-    majority split.  Labels need no swap to compare splits: cluster 0 holds
-    the smallest window id, which is the first window's.
+    few windows) are recorded with None labels instead of failing the sweep;
+    distances too large to allocate fail it.  Stability is the fraction of
+    populated cells agreeing with the majority split.  Labels need no swap
+    to compare splits: cluster 0 holds the smallest window id, which is the
+    first window's.
     """
     poem = corpus.poem(poem_id)
     windows = rolling_windows(poem, width, step)
     ids = tuple(window_id(w) for w in windows)
     cells = []
-    # each populated cell's labels in window order
     populated: list[tuple[int, ...]] = []
     k_max = max(k_values, default=0)
     for n in n_values:
         # the ranking breaks ties lexicographically and values divide by each
-        # window's full n-gram total, so every top-k profile is a prefix of
-        # the top-k_max one
+        # window's full n-gram total, so every top-k profile is the first k
+        # columns of the top-k_max one
         try:
             full = build_profiles(corpus, windows, n, k_max)
         except AnalysisError:
             full = None
         for k in k_values:
-            assignment = None
-            if full is not None and k >= 1:
-                profiles = [NgramProfile(p.sample, p.features[:k], p.values[:k])
-                            for p in full]
-                try:
-                    assignment = top_two_assignment(agglomerative_complete(
-                        cosine_distance_matrix(profiles)))
-                except AnalysisError:
-                    pass
-            if assignment is None:
-                cells.append(SweepCell(n=n, k=k, assignment=None))
-                continue
-            flat = tuple(assignment[wid] for wid in ids)
-            cells.append(SweepCell(n=n, k=k, assignment=tuple(zip(ids, flat))))
-            populated.append(flat)
+            labels = None
+            # a window with none of the top-k grams has a zero vector
+            if (full is not None and k >= 1 and len(ids) >= 2
+                    and full.values[:, :k].any(axis=1).all()):
+                assignment = top_two_assignment(agglomerative_complete(
+                    cosine_distance_matrix(ProfileMatrix(
+                        full.samples, full.features[:k], full.values[:, :k]))))
+                labels = tuple(assignment[wid] for wid in ids)
+                populated.append(labels)
+            cells.append(SweepCell(n=n, k=k, labels=labels))
 
     stability = (max(Counter(populated).values()) / len(populated)
                  if populated else 0.0)

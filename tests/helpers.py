@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import unicodedata
 from collections import Counter
 from pathlib import Path
@@ -17,7 +20,7 @@ from versemetry.metre import FULL_LABELS, HALF_LABELS, Granularity, PairingLog
 from versemetry.ngramcluster import (
     Dendrogram,
     DistanceMatrix,
-    NgramProfile,
+    ProfileMatrix,
     SweepCell,
     SweepResult,
     agglomerative_complete,
@@ -645,13 +648,18 @@ def counter_build_profiles(corpus, samples, n, k):
     for counts in per_sample:
         totals.update(counts)
     features = tuple(sorted(totals, key=lambda g: (-totals[g], g))[:k])
-    profiles = []
-    for sample, counts in zip(samples, per_sample):
+    values = []
+    for counts in per_sample:
         total = sum(counts.values())
-        values = tuple(counts.get(g, 0) / total for g in features)
-        profiles.append(NgramProfile(sample=sample, features=features,
-                                     values=values))
-    return profiles
+        values.append([counts.get(g, 0) / total for g in features])
+    return ProfileMatrix(samples=tuple(samples), features=features,
+                         values=np.array(values).reshape(len(samples),
+                                                         len(features)))
+
+
+def profile_fields(profiles):
+    """A ``ProfileMatrix`` as plain values that compare exactly with ``==``."""
+    return profiles.samples, profiles.features, profiles.values.tolist()
 
 
 def loop_split_boundary_estimate(samples, assignment):
@@ -702,13 +710,11 @@ def per_cell_sweep(corpus, poem_id, n_values, k_values, width=300, step=100):
                 assignment = top_two_assignment(agglomerative_complete(
                     cosine_distance_matrix(profiles)))
             except AnalysisError:
-                cells.append(SweepCell(n=n, k=k, assignment=None))
+                cells.append(SweepCell(n=n, k=k, labels=None))
                 canonical_splits.append(None)
                 continue
-            cells.append(SweepCell(
-                n=n, k=k,
-                assignment=tuple((wid, assignment[wid]) for wid in ids)))
             flat = tuple(assignment[wid] for wid in ids)
+            cells.append(SweepCell(n=n, k=k, labels=flat))
             if flat and flat[0] == 1:
                 flat = tuple(1 - v for v in flat)
             canonical_splits.append(flat)
@@ -833,3 +839,41 @@ def differing_files(actual, expected):
     """Files missing, extra or with another digest, sorted by name."""
     return sorted(name for name in actual.keys() | expected.keys()
                   if actual.get(name) != expected.get(name))
+
+
+# ------------------------------------------------------------ child runs ----
+
+# The child limits its address space only after numpy has loaded BLAS and
+# BLAS has run once, which starts its threads and buffers; the limit then
+# bounds what the command itself allocates.
+_CHILD = """\
+import resource, sys
+import numpy as np
+from versemetry.cli import dispatch
+
+headroom = int(sys.argv[1])
+if headroom:
+    np.ones((64, 64)) @ np.ones((64, 64))
+    with open("/proc/self/status") as status:
+        size = next(int(line.split()[1]) * 1024 for line in status
+                    if line.startswith("VmSize:"))
+    resource.setrlimit(resource.RLIMIT_AS, (size + headroom,) * 2)
+sys.exit(dispatch(sys.argv[2:]))
+"""
+
+
+def run_cli_process(argv, headroom=None):
+    """Run one CLI invocation in a child process.
+
+    With ``headroom`` bytes, the child may grow its address space by only
+    that much once BLAS is warm.  Returns the exit code, the stderr lines and
+    the child's peak resident set in bytes (``ru_maxrss`` from ``os.wait4``).
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CHILD, str(headroom or 0), *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, err.splitlines(), usage.ru_maxrss * 1024

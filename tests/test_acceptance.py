@@ -286,8 +286,7 @@ def test_criterion_6_clustering_oracle_and_recovery(capsys):
     poem = corpus.poem("twins")
     windows = rolling_windows(poem, 300, 100)
     profiles = build_profiles(corpus, windows, 3, 200)
-    for profile in profiles:
-        values = np.array(profile.values)
+    for values in profiles.values:
         assert values.min() >= 0.0 and values.sum() <= 1.0 + 1e-12
     dist = cosine_distance_matrix(profiles)
     assert np.array_equal(dist.values, dist.values.T)
@@ -305,9 +304,11 @@ def test_criterion_6_clustering_oracle_and_recovery(capsys):
                      composition={p.id: 1})
         for p in scale_corpus.poems
     ]
-    short, tripled = build_profiles(scale_corpus, scale_windows, 2, 100)
-    assert short.features == tripled.features
-    assert short.values == tripled.values
+    scaled = build_profiles(scale_corpus, scale_windows, 2, 100)
+    # both rows are over the one feature tuple
+    assert scaled.values.shape == (2, len(scaled.features))
+    short, tripled = scaled.values
+    assert np.array_equal(short, tripled)
 
     assignment = top_two_assignment(agglomerative_complete(dist))
     truth = {window_id(w): majority_part(w) for w in windows}

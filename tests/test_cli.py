@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -19,6 +20,7 @@ from helpers import (
     differing_files,
     iid_scansion_poem,
     pool_text_poem,
+    run_cli_process,
     run_digests,
     tree_digests,
 )
@@ -26,6 +28,7 @@ from test_acceptance import criterion_8_corpus
 from versemetry import cli, metre
 from versemetry.cli import build_parser, dispatch
 from versemetry.corpus import PartRange, Poem, VerseLine, parse_corpus, write_corpus
+from versemetry.ngramcluster import DistanceMatrix
 from versemetry.stats import RngStream
 
 
@@ -245,6 +248,57 @@ def test_invalid_parameter_is_one_error_line(corpus_dir, tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and message in err[0]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the child reads its size from /proc")
+def test_unallocatable_distances_are_one_error_line(tmp_path):
+    # 8000 windows need 512 MB for each distance array, past the 256 MB the
+    # child may grow by, while their profiles take a few MB
+    root, out = tmp_path / "corpus", tmp_path / "out"
+    write_corpus(build_corpus(build_poem("long", 8009)), root)
+    argv = ["--corpus", str(root), "--out", str(out), "--width", "10",
+            "--step", "1", "--n", "2", "--k", "20"]
+    headroom = 256 * 2 ** 20
+    assert run_cli_process(["cluster", "profiles", *argv], headroom)[:2] == (
+        0, [])
+    code, err, peak = run_cli_process(["cluster", "dendrogram", *argv],
+                                      headroom)
+    assert (code, err) == (1, [
+        "error: 8000 windows: cannot allocate 512000000 bytes (0.5 GiB) for "
+        "8000 x 8000 distances; a larger --step or fewer --poems gives fewer "
+        "windows"])
+    assert peak < 8 * 8000 ** 2
+    assert not (out / "cluster" / "distances.csv").exists()
+
+
+class Unallocatable(np.ndarray):
+    """Distances whose copy fails as one the allocator refuses."""
+
+    def astype(self, *args, **kwargs):
+        raise MemoryError
+
+
+def test_unallocatable_linkage_is_a_skipped_report_row(corpus_dir, tmp_path,
+                                                       monkeypatch):
+    distances = cli.cosine_distance_matrix
+
+    def refused(profiles):
+        dist = distances(profiles)
+        return DistanceMatrix(dist.labels, dist.values.view(Unallocatable))
+
+    monkeypatch.setattr(cli, "cosine_distance_matrix", refused)
+    out = tmp_path / "out"
+    assert dispatch(["report", "--split-line", "350", "--bootstrap", "1000",
+                     "--corpus", str(corpus_dir), "--out", str(out)]) == 0
+    assert read_csv(out / "report" / "skipped.csv") == [{
+        "analysis": "cluster dendrogram", "unit": "(corpus)",
+        "reason": "9 windows: cannot allocate 648 bytes (0.0 GiB) for 9 x 9 "
+                  "distances; a larger --step or fewer --poems gives fewer "
+                  "windows"}]
+    files = tree_digests(out)
+    assert "cluster/sweep.csv" in files
+    assert "cluster/dendrogram.json" not in files
 
 
 def test_program_error_propagates(corpus_dir, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from versemetry import figures
 from versemetry.errors import AnalysisError
 from versemetry.figures import FigureKind, FigureSpec, render_figure
 from versemetry.ngramcluster import Dendrogram
@@ -153,6 +154,24 @@ def test_sweep_strip_grid_and_absent_cells():
     # 1 background + 2 rows x 4 columns
     assert doc.count("<rect") == 1 + 8
     assert doc.count('fill="#cccccc"') == 1
+
+
+def test_sweep_strip_marks_are_canvas_rects():
+    # a short strip ends in absent cells; each mark is written byte for byte
+    # as _Canvas.rect writes it, at widths whose decimals do not terminate
+    rows = ((0, 1, 12), (None, 1))
+    doc = render_figure(FigureSpec(kind=FigureKind.SWEEP_STRIP, series=tuple(
+        (f"row {r}", values) for r, values in enumerate(rows))))
+    cell_w, cell_h = figures.PLOT_W / 3, figures.PLOT_H / 2
+    for r, values in enumerate(rows):
+        canvas = figures._Canvas()
+        for c, value in enumerate(values + (None,) * (3 - len(values))):
+            canvas.rect(figures.MARGIN_L + c * cell_w,
+                        figures.MARGIN_T + r * cell_h, cell_w, cell_h,
+                        fill=figures.ABSENT_FILL if value is None
+                        else figures.PALETTE[value % len(figures.PALETTE)],
+                        stroke="#ffffff")
+        assert "\n".join(canvas.parts) in doc
 
 
 def test_no_timestamp_like_content():

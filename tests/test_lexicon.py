@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from versemetry import lexicon
-from versemetry.errors import AnalysisError, CorpusError
+from versemetry.errors import AnalysisError, CorpusError, InputError
 from versemetry.lexicon import (
     PairScore,
     SegmentMode,
@@ -257,6 +257,13 @@ class TestSharedCompoundScores:
         with pytest.raises(CorpusError, match="'p9'"):
             shared_compound_scores(three_poem_corpus(),
                                    poems=["p1", "p2", "p9"], N=1000)
+
+    def test_repeated_poem_id_rejected(self):
+        # a repeat would score the poem against itself and each of its pairs
+        # twice, each with its own null
+        with pytest.raises(InputError, match="poem 'p1' more than once"):
+            shared_compound_scores(three_poem_corpus(),
+                                   poems=["p1", "p2", "p1"], N=1000)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="at least 1000"):

@@ -14,7 +14,7 @@ from versemetry.ngramcluster import (
     DEFAULT_K_VALUES,
     DEFAULT_N_VALUES,
     Dendrogram,
-    NgramProfile,
+    ProfileMatrix,
     agglomerative_complete,
     build_profiles,
     clustering_quality,
@@ -32,7 +32,7 @@ from versemetry.stats import RngStream
 from helpers import (brute_force_complete, build_corpus, build_poem,
                      counter_build_profiles, counter_ngram_counts,
                      loop_split_boundary_estimate, per_cell_sweep, per_char_normalize_text, pool_text_poem,
-                     random_distance_matrix, two_style_corpus)
+                     profile_fields, random_distance_matrix, two_style_corpus)
 
 
 def text_corpus(*texts):
@@ -54,15 +54,13 @@ def one_line_windows(corpus):
 
 def profile_fixture(values_by_label):
     """Hand-built profiles for distance tests, bypassing text counting."""
-    profiles = []
-    for label, values in values_by_label.items():
-        window = SampleWindow(source=label, first_line=1, last_line=1,
-                              composition={label: 1})
-        profiles.append(NgramProfile(
-            sample=window,
-            features=tuple(f"f{i}" for i in range(len(values))),
-            values=tuple(values)))
-    return profiles
+    values = np.array(list(values_by_label.values()), dtype=float)
+    return ProfileMatrix(
+        samples=tuple(SampleWindow(source=label, first_line=1, last_line=1,
+                                   composition={label: 1})
+                      for label in values_by_label),
+        features=tuple(f"f{i}" for i in range(values.shape[1])),
+        values=values)
 
 
 class TestNormalization:
@@ -77,9 +75,9 @@ class TestNormalization:
         counts = counter_ngram_counts("aaa", 2)
         assert counts == {" a": 1, "aa": 2, "a ": 1}
         corpus = text_corpus("aaa")
-        (profile,) = build_profiles(corpus, one_line_windows(corpus), 2, 10)
-        assert profile.features == ("aa", " a", "a ")
-        assert profile.values == (2 / 4, 1 / 4, 1 / 4)
+        profiles = build_profiles(corpus, one_line_windows(corpus), 2, 10)
+        assert profiles.features == ("aa", " a", "a ")
+        assert profiles.values.tolist() == [[2 / 4, 1 / 4, 1 / 4]]
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=st.sampled_from(
@@ -94,34 +92,42 @@ class TestBuildProfiles:
         # Tripling a text (space-joined) triples every bigram count exactly,
         # so relative frequencies are unchanged.
         corpus = text_corpus("ecg banum", "ecg banum ecg banum ecg banum")
-        short, long = build_profiles(corpus, one_line_windows(corpus), 2, 50)
-        assert short.features == long.features
-        assert short.values == long.values
+        profiles = build_profiles(corpus, one_line_windows(corpus), 2, 50)
+        # both rows are over the one feature tuple
+        assert profiles.values.shape == (2, len(profiles.features))
+        short, long = profiles.values
+        assert np.array_equal(short, long)
 
     def test_top_k_ties_lexicographic(self):
         corpus = text_corpus("abab")
-        (profile,) = build_profiles(corpus, one_line_windows(corpus), 2, 4)
-        assert profile.features == ("ab", " a", "b ", "ba")
+        profiles = build_profiles(corpus, one_line_windows(corpus), 2, 4)
+        assert profiles.features == ("ab", " a", "b ", "ba")
 
     def test_k_saturates_at_distinct_grams(self):
         corpus = text_corpus("abab")
-        (profile,) = build_profiles(corpus, one_line_windows(corpus), 2, 10 ** 6)
-        assert set(profile.features) == {" a", "ab", "ba", "b "}
+        profiles = build_profiles(corpus, one_line_windows(corpus), 2, 10 ** 6)
+        assert set(profiles.features) == {" a", "ab", "ba", "b "}
 
     def test_top_k_is_prefix_of_larger_k(self):
         # robustness_sweep slices one top-k_max ranking for every k
         corpus = text_corpus("seft ond swegl", "wudu ond wæter", "abab baba")
         windows = one_line_windows(corpus)
         full = build_profiles(corpus, windows, 2, 10 ** 6)
-        for k in range(1, len(full[0].features) + 2):
-            assert build_profiles(corpus, windows, 2, k) == [
-                NgramProfile(p.sample, p.features[:k], p.values[:k])
-                for p in full]
+        for k in range(1, len(full.features) + 2):
+            assert profile_fields(build_profiles(corpus, windows, 2, k)) == (
+                full.samples, full.features[:k], full.values[:, :k].tolist())
 
     def test_values_sum_at_most_one(self):
         corpus = text_corpus("seft ond swegl", "wudu ond wæter")
-        for profile in build_profiles(corpus, one_line_windows(corpus), 3, 5):
-            assert 0 < sum(profile.values) <= 1.0 + 1e-12
+        profiles = build_profiles(corpus, one_line_windows(corpus), 3, 5)
+        for values in profiles.values.tolist():
+            assert 0 < sum(values) <= 1.0 + 1e-12
+
+    def test_values_one_read_only_c_contiguous_array(self):
+        corpus = text_corpus("seft ond swegl", "wudu ond wæter", "abab baba")
+        values = build_profiles(corpus, one_line_windows(corpus), 2, 9).values
+        assert values.dtype == np.float64 and values.shape == (3, 9)
+        assert values.flags.c_contiguous and not values.flags.writeable
 
     def test_too_short_sample_named(self):
         corpus = text_corpus("?!,")
@@ -171,7 +177,7 @@ def windowed_corpora(draw):
 
 def outcome(build, corpus, windows, n, k):
     try:
-        return build(corpus, windows, n, k)
+        return profile_fields(build(corpus, windows, n, k))
     except AnalysisError as exc:
         return type(exc), str(exc)
 
@@ -227,8 +233,19 @@ class TestBuildProfilesMatchesCounterReference:
         corpus = build_corpus(*poems)
         windows = [w for poem in poems for w in rolling_windows(poem, 20, 7)]
         for k in (1, 50, 10 ** 6):
-            assert (build_profiles(corpus, windows, 5, k)
-                    == counter_build_profiles(corpus, windows, 5, k))
+            assert (profile_fields(build_profiles(corpus, windows, 5, k))
+                    == profile_fields(
+                        counter_build_profiles(corpus, windows, 5, k)))
+
+
+def traced_peak(func, *args):
+    """Peak bytes that numpy and Python allocate during ``func(*args)``."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_poem_grams_takes_coverage_in_place():
@@ -245,13 +262,26 @@ def test_poem_grams_takes_coverage_in_place():
     starts = np.arange(0, size - 3000, 1000)
     args = (stream, rank, alphabet.size, 3, starts, starts + 2998)
     ngramcluster._poem_grams(*args)
-    tracemalloc.start()
-    try:
-        ngramcluster._poem_grams(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * size
+    assert traced_peak(ngramcluster._poem_grams, *args) < 24 * size
+
+
+def test_profiles_peak_is_a_few_arrays_of_their_size():
+    # 981 windows x 600 features: the float64 matrix (8 bytes a value) and
+    # at most three int64 arrays of that shape while a poem is counted (24).
+    # A tuple of Python floats per window takes 32 more.
+    poem = pool_text_poem("p", 1000, pool_fn=lambda i: "abcdefghijklmnop",
+                          seed=5)
+    corpus, windows = build_corpus(poem), rolling_windows(poem, 20, 1)
+    poem.ngram_stream  # cached before the trace
+    peak = traced_peak(build_profiles, corpus, windows, 3, 600)
+    assert peak < 40 * len(windows) * 600
+
+
+def test_linkage_peak_is_one_work_matrix():
+    # the n x n work copy and O(n) caches; the first caches are read off the
+    # work matrix, with no n x n block, mask or id temporaries
+    dist = random_distance_matrix(1000, 0)
+    assert traced_peak(agglomerative_complete, dist) < 10 * 1000 ** 2
 
 
 class TestCosineDistance:
@@ -286,10 +316,13 @@ class TestCosineDistance:
         gen = RngStream(3).generator()
         profiles = profile_fixture({
             f"s{i}": tuple(gen.random(6) + 0.01) for i in range(8)})
+        before = profiles.values.copy()
         dist = cosine_distance_matrix(profiles)
         assert np.array_equal(dist.values, dist.values.T)
         assert np.all(np.diag(dist.values) == 0.0)
         assert dist.values.min() >= 0.0 and dist.values.max() <= 1.0
+        # the profiles are normalised in a copy
+        assert np.array_equal(profiles.values, before)
 
 
 class TestAgglomerativeComplete:
@@ -507,10 +540,10 @@ class TestRobustnessSweep:
         result = robustness_sweep(
             corpus, "twins", n_values=[2, 3], k_values=[120, 240])
         assert len(result.cells) == 4
-        assert all(cell.assignment is not None for cell in result.cells)
+        assert all(cell.labels is not None for cell in result.cells)
         assert result.stability == 1.0
         for cell in result.cells:
-            assert tuple(wid for wid, _ in cell.assignment) == result.window_ids
+            assert len(cell.labels) == len(result.window_ids)
 
     def test_single_style_poem_less_stable(self):
         poem = pool_text_poem("mono", 2200, pool_fn=lambda i: "aebimor",
@@ -549,9 +582,20 @@ class TestRobustnessSweep:
         result = robustness_sweep(
             build_corpus(poem), "tiny", n_values=[2], k_values=[100])
         assert result.cells == tuple(
-            type(result.cells[0])(n=2, k=100, assignment=None)
+            type(result.cells[0])(n=2, k=100, labels=None)
             for _ in range(1))
         assert result.stability == 0.0
+
+    def test_unallocatable_distances_fail_the_sweep(self, monkeypatch):
+        # every cell has the same windows, so distances too large for one
+        # cell are too large for all: not a cell to record as absent
+        def refused(profiles):
+            raise ngramcluster._unallocatable(len(profiles.samples))
+
+        monkeypatch.setattr(ngramcluster, "cosine_distance_matrix", refused)
+        with pytest.raises(AnalysisError, match="^6 windows: cannot allocate"):
+            robustness_sweep(two_style_corpus(n=600, switch=300), "twins",
+                             [2], [100], width=100, step=100)
 
 
 @settings(max_examples=25, deadline=None)
