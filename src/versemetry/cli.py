@@ -47,7 +47,6 @@ from .lexicon import (
     hapax_cumulative_fit,
     segment_fits,
     shared_compound_scores,
-    type_token_ratio,
 )
 from .metre import (
     DEFAULT_SPLIT_LINE,
@@ -401,8 +400,7 @@ def cmd_metre_incidence(args: argparse.Namespace, corpus: Corpus) -> dict:
             poem.id, args.pattern, args.granularity, fit)]),
         f"incidence-{name}.svg": FigureSpec(
             kind=FigureKind.SCATTER_FIT,
-            series=((args.pattern,
-                     tuple((float(x), float(y)) for x, y in points), fit),),
+            series=((args.pattern, points, fit),),
             title=f"{poem.id}: cumulative incidence of {args.pattern}",
             x_label="unit index", y_label="occurrence number"),
     }
@@ -420,8 +418,7 @@ def _hapax_series_outputs(poem_id: str, series, fit) -> dict:
         f"series-{poem_id}": (("line", "cumulative"), series),
         f"hapax-{poem_id}.svg": FigureSpec(
             kind=FigureKind.SCATTER_FIT,
-            series=((poem_id,
-                     tuple((float(x), float(y)) for x, y in series), fit),),
+            series=((poem_id, series, fit),),
             title=f"{poem_id}: cumulative hapax compounds",
             x_label="line", y_label="cumulative hapax count"),
     }
@@ -543,11 +540,15 @@ def _int_list(text: str) -> list[int]:
     try:
         if ":" in text:
             first, last, step = (int(v) for v in text.split(":"))
-            return list(range(first, last + 1, step))
-        return [int(v) for v in text.split(",")]
+            values = list(range(first, last + 1, step))
+        else:
+            values = [int(v) for v in text.split(",")]
     except ValueError:
         raise InputError(f"bad integer list {text!r}: expected "
                          "FIRST:LAST:STEP with STEP != 0, or A,B,...")
+    if not values:
+        raise InputError(f"integer list {text!r} names no values")
+    return values
 
 
 def _sweep_outputs(poem: Poem, result, width: int) -> dict:
@@ -589,12 +590,6 @@ def _summary_row(poem: Poem) -> tuple:
             len(poem.compound_tokens.lemmas))
 
 
-def _ttr_row(poem: Poem) -> tuple:
-    ratio = type_token_ratio(poem)
-    tokens = len(poem.compound_tokens.lemmas)
-    return poem.id, tokens, round(ratio * tokens) if ratio else 0, ratio
-
-
 def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
     """Every analysis over the whole corpus, run as one list of steps.
 
@@ -604,6 +599,7 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
     step order.  A step that raises ``AnalysisError``, in its figures too,
     becomes a row of ``report/skipped`` and writes none of its files.
     """
+    index = build_compound_index(corpus)
     # corpus-wide tables: no analysis behind them can be skipped
     outputs: dict[str, object] = {
         "corpus/summary": (("poem", "lines", "parts", "scanned_lines",
@@ -611,15 +607,16 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
                            [_summary_row(poem) for poem in corpus.poems]),
         "sensepause/syllables": (SYLLABLE_COLUMNS, [
             _syllable_row(poem, None) for poem in corpus.poems]),
-        "hapax/ttr": (("poem", "tokens", "types", "ttr"),
-                      [_ttr_row(poem) for poem in corpus.poems]),
+        "hapax/ttr": (("poem", "tokens", "types", "ttr"), [
+            (pid, tokens, index.types[pid],
+             index.types[pid] / tokens if tokens else None)
+            for pid, tokens in index.totals.items()]),
     }
     # sense pauses: 100-line samples classified once per poem; a poem's ratio
     # rows follow its first pair whose t-test succeeded
     reports = {poem.id: window_ratio_reports(poem, 100)
                for poem in corpus.poems}
     tested: set[str] = set()
-    index = build_compound_index(corpus)
     compound_poems = [pid for pid, tokens in index.totals.items() if tokens]
     sweep_target = max(corpus.poems, key=lambda p: (p.line_count, p.id))
 
@@ -744,9 +741,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stylometric analyses over annotated verse corpora.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    convert = sub.add_parser("convert", parents=[common],
-                             help="convert an external dataset")
+    convert = sub.add_parser("convert", help="convert an external dataset")
     convert.add_argument("dataset", help="dataset root directory")
+    convert.add_argument("--out", default="out",
+                         help="output directory (default out/)")
     convert.set_defaults(func=cmd_convert)
 
     sense = sub.add_parser("sensepause", parents=[common, with_corpus],

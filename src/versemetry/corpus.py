@@ -15,7 +15,9 @@ text is preserved exactly as read; all classification happens downstream.
 A poem's derived columns, built on first use and shared by every analysis,
 are ``Poem.scansion_codes``, its labels as a read-only array;
 ``Poem.ngram_stream``, its text normalized by ``normalize_text`` into one
-padded stream; and ``Poem.compound_tokens``, its compound tokens.
+padded stream; and ``Poem.compound_tokens``, its compound tokens.  Every
+``SampleWindow`` numbers the lines of its own poem; ``filtered_line_numbers``
+lists the lines of one part.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "parse_corpus",
     "corpus_files",
     "write_corpus",
-    "partition_samples",
     "resolve_line_range",
     "rolling_windows",
 ]
@@ -183,12 +184,11 @@ class Poem:
 
 @dataclass(frozen=True)
 class SampleWindow:
-    """Contiguous slice of lines with provenance.
+    """Contiguous slice of a poem's lines with provenance.
 
-    ``first_line``/``last_line`` are 1-based inclusive.  When the window was
-    cut from a part-filtered line sequence they index that renumbered
-    sequence, not the original edition numbering.  ``composition`` maps part
-    name to the number of window lines drawn from it.
+    ``first_line``/``last_line`` are 1-based inclusive line numbers of the
+    poem ``source``.  ``composition`` maps part name to the number of window
+    lines drawn from it.
     """
 
     source: str
@@ -430,24 +430,6 @@ def _composition(poem: Poem, first: int, last: int) -> dict[str, int]:
     return counts
 
 
-def partition_samples(poem: Poem, sample_len: int,
-                      line_filter: str | None = None) -> list[SampleWindow]:
-    """Cut consecutive non-overlapping windows of exactly ``sample_len`` lines.
-
-    A trailing remainder shorter than ``sample_len`` is dropped.  With
-    ``line_filter``, only lines belonging to that part are consumed, in order,
-    renumbered contiguously from 1 (windows then index the filtered sequence).
-    """
-    if sample_len < 1:
-        raise InputError("sample_len must be at least 1")
-    if line_filter is None:
-        return rolling_windows(poem, sample_len, sample_len)
-    total = len(filtered_line_numbers(poem, line_filter))
-    return [SampleWindow(poem.id, start, start + sample_len - 1,
-                         {line_filter: sample_len})
-            for start in range(1, total - sample_len + 2, sample_len)]
-
-
 def resolve_line_range(poem: Poem, first: int | None,
                        last: int | None) -> tuple[int, int]:
     """Inclusive 1-based bounds of a line range; ``None`` means the poem's
@@ -470,11 +452,8 @@ def filtered_line_numbers(poem: Poem, line_filter: str | None) -> list[int]:
         return list(range(1, poem.line_count + 1))
     if line_filter not in poem.part_names():
         raise CorpusError(f"poem {poem.id}: no part named {line_filter!r}")
-    numbers = []
-    for part in poem.parts:
-        if part.name == line_filter:
-            numbers.extend(range(part.first, part.last + 1))
-    return numbers
+    return [n for part in poem.parts if part.name == line_filter
+            for n in range(part.first, part.last + 1)]
 
 
 def rolling_windows(poem: Poem, width: int, step: int) -> list[SampleWindow]:
@@ -483,15 +462,6 @@ def rolling_windows(poem: Poem, width: int, step: int) -> list[SampleWindow]:
         raise InputError("width must be at least 1")
     if step < 1:
         raise InputError("step must be at least 1")
-    windows = []
-    start = 1
-    while start + width - 1 <= poem.line_count:
-        end = start + width - 1
-        windows.append(SampleWindow(
-            source=poem.id,
-            first_line=start,
-            last_line=end,
-            composition=_composition(poem, start, end),
-        ))
-        start += step
-    return windows
+    return [SampleWindow(poem.id, start, start + width - 1,
+                         _composition(poem, start, start + width - 1))
+            for start in range(1, poem.line_count - width + 2, step)]

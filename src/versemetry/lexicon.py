@@ -35,7 +35,6 @@ __all__ = [
     "hapax_cumulative_fit",
     "segment_fits",
     "shared_compound_scores",
-    "type_token_ratio",
 ]
 
 
@@ -45,15 +44,16 @@ class CompoundIndex:
 
     ``counts[t, p]`` is the number of occurrences of lemma ``lemmas[t]`` in
     poem ``poems[p]`` (an int64 array; lemmas in first-appearance order,
-    poems in corpus order).  ``totals`` maps each poem id to its compound
-    token count, and ``hapax_set`` holds the lemmas that occur once in the
-    whole corpus.
+    poems in corpus order).  ``totals`` and ``types`` map each poem id to its
+    numbers of compound tokens and of distinct lemmas, and ``hapax_set``
+    holds the lemmas that occur once in the whole corpus.
     """
 
     poems: tuple[str, ...]
     lemmas: tuple[str, ...]
     counts: np.ndarray
     totals: Mapping[str, int]
+    types: Mapping[str, int]
     hapax_set: frozenset[str]
 
 
@@ -99,6 +99,7 @@ def build_compound_index(corpus: Corpus) -> CompoundIndex:
         lemmas=lemmas,
         counts=counts,
         totals=dict(zip(poems, counts.sum(axis=0).tolist())),
+        types=dict(zip(poems, np.count_nonzero(counts, axis=0).tolist())),
         hapax_set=frozenset(lemmas[t] for t in hapaxes),
     )
 
@@ -164,14 +165,6 @@ def segment_fits(
         running += series[-1][1]
     combined = ols_fit(xs, ys)
     return unit_fits, combined
-
-
-def type_token_ratio(poem: Poem) -> float | None:
-    """Distinct compound types over compound tokens; None without tokens."""
-    lemmas = poem.compound_tokens.lemmas
-    if not lemmas:
-        return None
-    return len(set(lemmas)) / len(lemmas)
 
 
 # Trials simulated per block: the working arrays scale with the block, not

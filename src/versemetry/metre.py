@@ -270,9 +270,9 @@ def split_distribution_tests(
 
     # pattern codes sort as the pattern strings do, so the pooled category
     # counts, and with them the draws, are those of the pooled patterns
-    pooled = np.repeat(np.arange(len(FULL_LABELS)), full_before + full_after)
-    p_hom, p_gof = bootstrap_null_p(pooled, n_b, n_a, full_hom.statistic,
-                                    full_gof.statistic, B, rng.substream(0))
+    p_hom, p_gof = bootstrap_null_p(full_before + full_after, n_b, n_a,
+                                    full_hom.statistic, full_gof.statistic,
+                                    B, rng.substream(0))
     boot_hom = TestResult(full_hom.statistic, None, p_hom,
                           TestMethod.BOOTSTRAP_EMPIRICAL, n_b + n_a)
     boot_gof = TestResult(full_gof.statistic, None, p_gof,

@@ -40,9 +40,8 @@ import unicodedata
 
 import numpy as np
 
-from .corpus import (PUNCTUATION_GLYPHS, Poem, VerseLine,
-                     filtered_line_numbers, partition_samples)
-from .errors import AnalysisError
+from .corpus import PUNCTUATION_GLYPHS, Poem, VerseLine, filtered_line_numbers
+from .errors import AnalysisError, InputError
 from .stats import TestResult, pooled_t_test
 
 __all__ = [
@@ -213,15 +212,19 @@ def window_ratio_reports(poem: Poem, sample_len: int, *,
                          **toggles) -> list[RatioReport]:
     """Pause counts of each ``sample_len``-line sample of a poem or part.
 
-    ``toggles`` are the classification switches of
+    The samples are consecutive and do not overlap; a trailing remainder
+    shorter than ``sample_len`` is dropped.  A part's samples number its
+    lines from 1, in order.  ``toggles`` are the classification switches of
     ``classify_sense_pauses``.  The poem or part is classified in one call;
     a poem's line n has index n, so each sample sums the per-line counts of
     its lines from prefix sums.  Suppressed ellipsis dots are not counted.
     """
     numbers = filtered_line_numbers(poem, part)
+    if sample_len < 1:
+        raise InputError("sample_len must be at least 1")
     label = poem.id if part is None else f"{poem.id}/{part}"
-    windows = partition_samples(poem, sample_len, line_filter=part)
-    if not windows:
+    starts = range(1, len(numbers) - sample_len + 2, sample_len)
+    if not starts:
         return []
     # line indexes of the intraline and of the final marks that count
     counted: tuple[list[int], list[int]] = ([], [])
@@ -234,10 +237,10 @@ def window_ratio_reports(poem: Poem, sample_len: int, *,
             np.array(indexes, dtype=np.intp),
             minlength=poem.line_count + 1)[numbers]))).tolist()
         for indexes in counted)
-    return [_report(f"{label}:{w.first_line}-{w.last_line}",
-                    intraline[w.last_line] - intraline[w.first_line - 1],
-                    final[w.last_line] - final[w.first_line - 1])
-            for w in windows]
+    return [_report(f"{label}:{first}-{first + sample_len - 1}",
+                    intraline[first + sample_len - 1] - intraline[first - 1],
+                    final[first + sample_len - 1] - final[first - 1])
+            for first in starts]
 
 
 def sample_ratio_comparison(reports_a: Sequence[RatioReport],

@@ -488,7 +488,7 @@ def _block_exceedances(index: int, probs: np.ndarray, n_a: int, n_b: int,
 
 
 def bootstrap_null_p(
-    pooled_items: Sequence,
+    pooled_counts: Sequence[int],
     n_a: int,
     n_b: int,
     observed_homogeneity: float,
@@ -500,8 +500,10 @@ def bootstrap_null_p(
 
     The null is one common source distribution.  Each replicate resamples two
     groups of sizes ``n_a`` and ``n_b`` with replacement from the pooled
-    items (realized as multinomial draws over the pooled category counts,
-    which is distributionally identical).  Replicate block ``i`` is rows
+    items, whose category counts are ``pooled_counts``, as multinomial draws
+    over the categories that hold an item.  Empty categories are dropped
+    first: numpy draws the last category as the remainder, so an empty last
+    category would change the draws.  Replicate block ``i`` is rows
     ``256 * i`` to ``256 * i + 255`` (the last block may be short); it draws
     its group-a rows, then its group-b rows, from
     ``rng.substream(i).generator()``.  Both statistics are scored on the same
@@ -519,11 +521,14 @@ def bootstrap_null_p(
     """
     if B < 1000:
         raise InputError("B must be at least 1000")
-    if n_a + n_b != len(pooled_items):
+    counts = np.asarray(pooled_counts)
+    if (counts < 0).any():
+        raise ValueError("pooled counts must not be negative")
+    if n_a + n_b != counts.sum():
         raise ValueError("n_a + n_b must equal the pooled item count")
     if n_a < 1 or n_b < 1:
         raise ValueError("both group sizes must be positive")
-    _, counts = np.unique(np.asarray(pooled_items), return_counts=True)
+    counts = counts[counts > 0]
     probs = counts / counts.sum()
     hom_floor = _ALMOST_ONE * observed_homogeneity
     gof_floor = _ALMOST_ONE * observed_gof

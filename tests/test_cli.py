@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line surface."""
 
 import csv
+import importlib.util
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -239,7 +241,11 @@ def test_low_bootstrap_is_reported_not_raised(corpus_dir, tmp_path, capsys):
     (["cluster", "dendrogram", "--width", "0"], "width must be at least 1"),
     (["cluster", "sweep", "--poem", "alpha", "--k-values", "100:200:0"],
      "bad integer list '100:200:0'"),
-], ids=["width-0", "k-step-0"])
+    (["cluster", "sweep", "--poem", "alpha", "--k-values", "300:100:100"],
+     "integer list '300:100:100' names no values"),
+    (["cluster", "sweep", "--poem", "alpha", "--n-values", "5:1:1"],
+     "integer list '5:1:1' names no values"),
+], ids=["width-0", "k-step-0", "k-values-empty", "n-values-empty"])
 def test_invalid_parameter_is_one_error_line(corpus_dir, tmp_path, capsys,
                                              argv, message):
     code = dispatch(argv + ["--corpus", str(corpus_dir),
@@ -451,6 +457,17 @@ def test_convert_rejects_malformed_text(tmp_path, capsys):
     code = dispatch(["convert", str(dataset), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--format", "json"], ["--seed", "3"]],
+                         ids=["format", "seed"])
+def test_convert_takes_no_analysis_options(tmp_path, capsys, option):
+    make_dataset(tmp_path / "dataset")
+    out = tmp_path / "out"
+    assert dispatch(["convert", str(tmp_path / "dataset"), *option,
+                     "--out", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convert_empty_dataset(tmp_path, capsys):
@@ -871,6 +888,46 @@ def test_golden_covers_every_case(golden):
 def test_outputs_match_golden_digests(corpus_dir, tmp_path, golden, case):
     digests = run_digests(CLI_GOLDEN_CASES[case], corpus_dir, tmp_path / "out")
     assert differing_files(digests, golden[case]) == []
+
+
+# benchmark trace harness ----------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_REPORT = ROOT / "perfbench" / "trace_report.py"
+# the counts the trace hooks and the harness itself write for a report run
+TRACE_COUNTS = {
+    "corpus.lines", "stats.bootstrap.replicates", "lexicon.shared.trials",
+    "lexicon.shared.pairs", "lexicon.shared.types",
+    "ngramcluster.windows_counted", "ngramcluster.distinct_windows",
+    "ngramcluster.linkage.max_leaves", "ngramcluster.robustness_sweep.cells",
+    "figures.svg_bytes", "sensepause.classify_sense_pauses.calls"}
+
+
+def test_trace_harness_finds_every_traced_function(corpus_dir, tmp_path):
+    # the harness wraps functions by name and its hooks read their
+    # parameters by name, so a rename must fail here, not only under
+    # the benchmark
+    spec = importlib.util.spec_from_file_location("trace_report",
+                                                  TRACE_REPORT)
+    trace_report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_report)
+    spans_path = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACE_REPORT), str(spans_path), "--", "report",
+         "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
+         "--seed", "7", "--bootstrap", "1000", "--split-line", "350"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(spans_path.read_text(encoding="utf-8"))
+    assert trace["exit"] == 0
+    assert trace["missing"] == []
+    spanned = {f"{module}.{name.removeprefix('cmd_')}"
+               for module, names in trace_report.SPANNED.items()
+               for name in names}
+    assert set(trace_report.HOOKS) <= spanned
+    assert spanned - {name for name, *_ in trace["spans"]} == set()
+    assert TRACE_COUNTS - set(trace["counts"]) == set()
 
 
 # documentation --------------------------------------------------------------

@@ -12,16 +12,15 @@ from versemetry.corpus import (
     Corpus,
     PartRange,
     Poem,
-    SampleWindow,
     corpus_files,
     filtered_line_numbers,
     parse_corpus,
-    partition_samples,
     resolve_line_range,
     rolling_windows,
     write_corpus,
 )
 from versemetry.errors import AnalysisError, CorpusError
+from versemetry.sensepause import window_ratio_reports
 
 
 def _two_poem_corpus(tmp_path):
@@ -329,33 +328,34 @@ def test_poem_line_accessor_bounds():
 # Windowing
 # ---------------------------------------------------------------------------
 
+def _sample_ids(poem, sample_len, part=None):
+    """Unit ids of the sense-pause samples of a poem or part."""
+    return [r.unit_id for r in window_ratio_reports(poem, sample_len,
+                                                    part=part)]
+
+
 def test_partition_439_lines_gives_4_windows():
-    poem = build_poem("christ1", 439)
-    windows = partition_samples(poem, 100)
-    assert len(windows) == 4
-    assert windows[0] == SampleWindow("christ1", 1, 100, {"christ1": 100})
-    assert windows[-1].last_line == 400
+    assert _sample_ids(build_poem("christ1", 439), 100) == [
+        "christ1:1-100", "christ1:101-200", "christ1:201-300",
+        "christ1:301-400"]
 
 
 def test_partition_drops_trailing_remainder():
-    poem = build_poem("p", 250)
-    windows = partition_samples(poem, 100)
-    assert [(w.first_line, w.last_line) for w in windows] == [(1, 100), (101, 200)]
+    assert _sample_ids(build_poem("p", 250), 100) == ["p:1-100", "p:101-200"]
 
 
 def test_partition_short_poem_is_empty():
-    assert partition_samples(build_poem("p", 99), 100) == []
+    assert _sample_ids(build_poem("p", 99), 100) == []
 
 
 def test_partition_with_part_filter():
     parts = (PartRange("A", 1, 234), PartRange("B", 235, 851),
              PartRange("A", 852, 2936))
     poem = build_poem("gen", 2936, parts=parts)
-    windows = partition_samples(poem, 100, line_filter="A")
-    assert len(windows) == 23
-    assert all(w.composition == {"A": 100} for w in windows)
-    assert windows[0].first_line == 1
-    assert windows[-1].last_line == 2300
+    ids = _sample_ids(poem, 100, part="A")
+    assert len(ids) == 23
+    assert ids[0] == "gen/A:1-100"
+    assert ids[-1] == "gen/A:2201-2300"
 
     numbers = filtered_line_numbers(poem, "A")
     assert len(numbers) == 234 + (2936 - 852 + 1)
@@ -365,15 +365,15 @@ def test_partition_with_part_filter():
 
 def test_partition_rejects_unknown_part():
     with pytest.raises(CorpusError, match="no part named 'Z'"):
-        partition_samples(build_poem("p", 10), 5, line_filter="Z")
+        window_ratio_reports(build_poem("p", 10), 5, part="Z")
 
 
 def test_partition_rejects_bad_sample_len():
-    with pytest.raises(ValueError):
-        partition_samples(build_poem("p", 10), 0)
-    # the length is checked before the part name
     with pytest.raises(ValueError, match="sample_len must be at least 1"):
-        partition_samples(build_poem("p", 10), 0, line_filter="Z")
+        window_ratio_reports(build_poem("p", 10), 0)
+    # the part name is checked before the length
+    with pytest.raises(CorpusError, match="no part named 'Z'"):
+        window_ratio_reports(build_poem("p", 10), 0, part="Z")
 
 
 @given(n=st.integers(min_value=1, max_value=60),
@@ -387,9 +387,8 @@ def test_partition_filter_windows_index_the_filtered_lines(n, split,
     poem = build_poem("p", n, parts=parts)
     for name in poem.part_names():
         count = sum(p.last - p.first + 1 for p in parts if p.name == name)
-        assert partition_samples(poem, sample_len, line_filter=name) == [
-            SampleWindow("p", start, start + sample_len - 1,
-                         {name: sample_len})
+        assert _sample_ids(poem, sample_len, part=name) == [
+            f"p/{name}:{start}-{start + sample_len - 1}"
             for start in range(1, count - sample_len + 2, sample_len)]
 
 
@@ -421,17 +420,19 @@ def test_rolling_window_composition_straddles_boundary():
        width=st.integers(min_value=1, max_value=90))
 def test_rolling_with_step_equal_width_matches_partition(n, width):
     poem = build_poem("p", n)
-    assert rolling_windows(poem, width, width) == partition_samples(poem, width)
+    assert [f"p:{w.first_line}-{w.last_line}"
+            for w in rolling_windows(poem, width, width)] == _sample_ids(
+                poem, width)
 
 
 @given(n=st.integers(min_value=1, max_value=500),
        sample_len=st.integers(min_value=1, max_value=120))
 def test_partition_covers_prefix_contiguously(n, sample_len):
-    poem = build_poem("p", n)
-    windows = partition_samples(poem, sample_len)
-    covered = [i for w in windows for i in range(w.first_line, w.last_line + 1)]
-    assert covered == list(range(1, len(windows) * sample_len + 1))
-    assert all(w.last_line - w.first_line + 1 == sample_len for w in windows)
+    bounds = [tuple(map(int, unit.removeprefix("p:").split("-")))
+              for unit in _sample_ids(build_poem("p", n), sample_len)]
+    covered = [i for first, last in bounds for i in range(first, last + 1)]
+    assert covered == list(range(1, len(bounds) * sample_len + 1))
+    assert all(last - first + 1 == sample_len for first, last in bounds)
 
 
 def test_line_range_defaults_to_the_whole_poem():

@@ -20,7 +20,6 @@ from versemetry.lexicon import (
     hapax_cumulative_fit,
     segment_fits,
     shared_compound_scores,
-    type_token_ratio,
 )
 from versemetry.stats import RngStream, ols_fit
 
@@ -205,16 +204,22 @@ class TestSegmentFits:
 
 
 class TestTypeTokenRatio:
+    @staticmethod
+    def tokens_and_types(*poems):
+        index = build_compound_index(build_corpus(*poems))
+        return [(index.totals[pid], index.types[pid]) for pid in index.poems]
+
     def test_every_compound_unique(self):
-        poem = unique_hapax_poem("p", 8)
-        assert type_token_ratio(poem) == 1.0
+        assert self.tokens_and_types(unique_hapax_poem("p", 8)) == [(8, 8)]
 
     def test_ten_tokens_one_type(self):
         poem = build_poem("p", 2, compounds={1: ("issorg",) * 10})
-        assert type_token_ratio(poem) == pytest.approx(0.1)
+        # the lemma a poem shares with another counts once in each
+        other = build_poem("q", 2, compounds={2: ("issorg", "hring")})
+        assert self.tokens_and_types(poem, other) == [(10, 1), (2, 2)]
 
     def test_no_tokens_absent(self):
-        assert type_token_ratio(build_poem("p", 3)) is None
+        assert self.tokens_and_types(build_poem("p", 3)) == [(0, 0)]
 
 
 def identical_pair_corpus():

@@ -352,24 +352,29 @@ def test_rng_substream_rejects_negative_index():
 # ---------------------------------------------------------------------------
 
 def _pooled(counts_a, counts_b):
-    items = []
-    for i, (x, y) in enumerate(zip(counts_a, counts_b)):
-        items.extend([i] * (x + y))
-    return items, sum(counts_a), sum(counts_b)
+    """Pooled category counts and the two group sizes."""
+    return ([x + y for x, y in zip(counts_a, counts_b)], sum(counts_a),
+            sum(counts_b))
+
+
+def _items(counts):
+    """One item per occurrence, named by its category's index, for the
+    item-based reference."""
+    return [i for i, count in enumerate(counts) for _ in range(count)]
 
 
 def test_bootstrap_zero_observed_stat():
-    items, n_a, n_b = _pooled([5, 5], [5, 5])
-    assert bootstrap_null_p(items, n_a, n_b, 0.0, 0.0, 1000,
+    pooled, n_a, n_b = _pooled([5, 5], [5, 5])
+    assert bootstrap_null_p(pooled, n_a, n_b, 0.0, 0.0, 1000,
                             RngStream(3)) == (1.0, 1.0)
 
 
 def test_bootstrap_deterministic():
-    items, n_a, n_b = _pooled([41, 34], [34, 41])
+    pooled, n_a, n_b = _pooled([41, 34], [34, 41])
     hom = chi2_homogeneity([41, 34], [34, 41]).statistic
     gof = chi2_gof([34, 41], [41, 34]).statistic
-    p1 = bootstrap_null_p(items, n_a, n_b, hom, gof, 2000, RngStream(11, 2))
-    p2 = bootstrap_null_p(items, n_a, n_b, hom, gof, 2000, RngStream(11, 2))
+    p1 = bootstrap_null_p(pooled, n_a, n_b, hom, gof, 2000, RngStream(11, 2))
+    p2 = bootstrap_null_p(pooled, n_a, n_b, hom, gof, 2000, RngStream(11, 2))
     assert p1 == p2
 
 
@@ -378,8 +383,8 @@ def test_bootstrap_matches_analytic_2x2():
     counts_a, counts_b = [386, 364], [364, 386]
     analytic = chi2_homogeneity(counts_a, counts_b)
     assert 0.24 < analytic.p_value < 0.26
-    items, n_a, n_b = _pooled(counts_a, counts_b)
-    p_hom, _ = bootstrap_null_p(items, n_a, n_b, analytic.statistic, 1.0,
+    pooled, n_a, n_b = _pooled(counts_a, counts_b)
+    p_hom, _ = bootstrap_null_p(pooled, n_a, n_b, analytic.statistic, 1.0,
                                 20000, RngStream(5))
     assert abs(p_hom - analytic.p_value) <= 0.02
 
@@ -389,15 +394,15 @@ def test_bootstrap_converges_to_analytic_over_seeds(seed):
     counts_a, counts_b = [120, 80, 40], [100, 90, 50]
     analytic = chi2_homogeneity(counts_a, counts_b)
     assert 0.05 < analytic.p_value < 0.95
-    items, n_a, n_b = _pooled(counts_a, counts_b)
-    p_hom, _ = bootstrap_null_p(items, n_a, n_b, analytic.statistic, 1.0,
+    pooled, n_a, n_b = _pooled(counts_a, counts_b)
+    p_hom, _ = bootstrap_null_p(pooled, n_a, n_b, analytic.statistic, 1.0,
                                 20000, RngStream(seed))
     assert abs(p_hom - analytic.p_value) <= 0.02
 
 
 def test_bootstrap_gof_statistic_runs():
-    items, n_a, n_b = _pooled([50, 30, 20], [40, 35, 25])
-    _, p_gof = bootstrap_null_p(items, n_a, n_b, 1.0, 1.0, 1000, RngStream(8))
+    pooled, n_a, n_b = _pooled([50, 30, 20], [40, 35, 25])
+    _, p_gof = bootstrap_null_p(pooled, n_a, n_b, 1.0, 1.0, 1000, RngStream(8))
     assert 0.0 < p_gof <= 1.0
 
 
@@ -408,8 +413,9 @@ def test_bootstrap_p_independent_of_worker_count(workers, B, monkeypatch):
     # on how many threads share the blocks; a block lost or scored twice
     # would move them.  A rare category leaves some replicate rows with a
     # zero reference count, so the GOF merge rule runs inside the blocks too.
-    items, n_a, n_b = _pooled([40, 25, 9, 1], [30, 30, 12, 0])
-    want = two_draw_bootstrap_p(items, n_a, n_b, 3.0, 3.0, B, RngStream(12))
+    pooled, n_a, n_b = _pooled([40, 25, 9, 1], [30, 30, 12, 0])
+    want = two_draw_bootstrap_p(_items(pooled), n_a, n_b, 3.0, 3.0, B,
+                                RngStream(12))
     started = []
 
     class Worker(threading.Thread):
@@ -422,7 +428,7 @@ def test_bootstrap_p_independent_of_worker_count(workers, B, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = bootstrap_null_p(items, n_a, n_b, 3.0, 3.0, B, RngStream(12))
+        got = bootstrap_null_p(pooled, n_a, n_b, 3.0, 3.0, B, RngStream(12))
     finally:
         sys.setswitchinterval(interval)
     assert got == want
@@ -431,7 +437,7 @@ def test_bootstrap_p_independent_of_worker_count(workers, B, monkeypatch):
 
 
 def test_bootstrap_block_exception_escapes_unchanged(monkeypatch):
-    items, n_a, n_b = _pooled([40, 25, 9, 1], [30, 30, 12, 0])
+    pooled, n_a, n_b = _pooled([40, 25, 9, 1], [30, 30, 12, 0])
     gof_stats = stats._gof_stats
     calls = itertools.count()
     raised = []
@@ -446,7 +452,7 @@ def test_bootstrap_block_exception_escapes_unchanged(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     threads = threading.active_count()
     with pytest.raises(ValueError) as info:
-        bootstrap_null_p(items, n_a, n_b, 3.0, 3.0, 5000, RngStream(12))
+        bootstrap_null_p(pooled, n_a, n_b, 3.0, 3.0, 5000, RngStream(12))
     assert info.value is raised[0]
     assert threading.active_count() == threads
 
@@ -459,22 +465,23 @@ def test_bootstrap_block_exception_escapes_unchanged(monkeypatch):
 def test_bootstrap_matches_two_draw_reference(counts_a, counts_b, seed):
     # one draw set must give exactly the p-values of drawing both groups
     # and scoring each statistic unblocked, GOF by the row-loop merge
-    items, n_a, n_b = _pooled(counts_a, counts_b)
+    pooled, n_a, n_b = _pooled(counts_a, counts_b)
     hom = chi2_homogeneity(counts_a, counts_b).statistic
     gof = chi2_gof(counts_b, counts_a).statistic
     for rng in (RngStream(seed), RngStream(seed).substream(0)):
-        want = two_draw_bootstrap_p(items, n_a, n_b, hom, gof, 4001, rng)
-        assert bootstrap_null_p(items, n_a, n_b, hom, gof, 4001, rng) == want
+        want = two_draw_bootstrap_p(_items(pooled), n_a, n_b, hom, gof, 4001,
+                                    rng)
+        assert bootstrap_null_p(pooled, n_a, n_b, hom, gof, 4001, rng) == want
 
 
 def test_bootstrap_memory_below_one_int64_draw_matrix():
     # both groups are drawn one row block at a time, so no (B, K) int64
     # matrix is ever allocated
     B, K = 100_000, 25
-    items, n_a, n_b = _pooled(list(range(1, K + 1)), list(range(K, 0, -1)))
+    pooled, n_a, n_b = _pooled(list(range(1, K + 1)), list(range(K, 0, -1)))
     tracemalloc.start()
     try:
-        bootstrap_null_p(items, n_a, n_b, 30.0, 30.0, B, RngStream(2))
+        bootstrap_null_p(pooled, n_a, n_b, 30.0, 30.0, B, RngStream(2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -486,11 +493,11 @@ def test_bootstrap_memory_one_block_per_thread(monkeypatch):
     # K = 25), so two threads stay far below the 10.9 MiB that keeping
     # group a for all B replicates took
     B, K = 100_000, 25
-    items, n_a, n_b = _pooled(list(range(1, K + 1)), list(range(K, 0, -1)))
+    pooled, n_a, n_b = _pooled(list(range(1, K + 1)), list(range(K, 0, -1)))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     tracemalloc.start()
     try:
-        bootstrap_null_p(items, n_a, n_b, 30.0, 30.0, B, RngStream(2))
+        bootstrap_null_p(pooled, n_a, n_b, 30.0, 30.0, B, RngStream(2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -517,11 +524,11 @@ def test_gof_exceedance_counts_exact_ties():
     # statistic.
     counts_a = [3, 0, 1, 0, 2, 9, 1, 1]
     counts_b = [2, 1, 0, 1, 3, 7, 0, 0]
-    items, n_a, n_b = _pooled(counts_a, counts_b)
+    pooled, n_a, n_b = _pooled(counts_a, counts_b)
     observed = _exact_gof(counts_b, counts_a)
     gof = chi2_gof(counts_b, counts_a).statistic
     B = 4001
-    probs = np.unique(items, return_counts=True)[1] / len(items)
+    probs = np.array(pooled) / sum(pooled)
     a, b = block_draws(probs, n_a, n_b, B, RngStream(7))
     exact = [_exact_gof(o, r) for r, o in zip(a, b)]
     ties = np.array([x == observed for x in exact])
@@ -537,31 +544,46 @@ def test_gof_exceedance_counts_exact_ties():
     for exceeds in (kernel, loop):
         assert np.array_equal(exceeds[~ties], above[~ties])
     reached = int(ties.sum() + above.sum())
-    _, p_gof = bootstrap_null_p(items, n_a, n_b, 0.0, gof, B, RngStream(7))
+    _, p_gof = bootstrap_null_p(pooled, n_a, n_b, 0.0, gof, B, RngStream(7))
     assert p_gof == (1 + reached) / (B + 1)
 
 
 def test_bootstrap_string_items_match_two_draw_reference():
-    # pattern labels are strings; np.unique orders them as sorted(set(...))
+    # counts over the 25 full-line labels, some of them zero, the last one
+    # too: empty categories are dropped before drawing, as the reference,
+    # which sees only the labels that occur, drops them.  numpy draws the
+    # last category as the remainder, so a zero-probability last category
+    # would change the draws.
     gen = RngStream(3).generator()
     labels = [a + b for a in "ABCDE" for b in "ABCDE"]
-    pooled = [labels[i] for i in gen.choice(25, size=600, p=_rare_probs(25))]
-    want = two_draw_bootstrap_p(pooled, 450, 150, 20.0, 25.0, 2000,
+    drawn = gen.choice(25, size=600, p=_rare_probs(25))
+    pooled = [labels[i] for i in drawn if i not in (7, 24)]
+    counts = [pooled.count(label) for label in labels]
+    assert counts[7] == counts[24] == 0
+    assert 0 not in counts[:7] and counts[23] > 0
+    n_b = len(pooled) - 450
+    want = two_draw_bootstrap_p(pooled, 450, n_b, 20.0, 25.0, 2000,
                                 RngStream(9))
-    assert bootstrap_null_p(pooled, 450, 150, 20.0, 25.0, 2000,
+    assert bootstrap_null_p(counts, 450, n_b, 20.0, 25.0, 2000,
                             RngStream(9)) == want
 
 
 def test_bootstrap_rejects_small_B():
-    items, n_a, n_b = _pooled([5, 5], [5, 5])
+    pooled, n_a, n_b = _pooled([5, 5], [5, 5])
     with pytest.raises(ValueError):
-        bootstrap_null_p(items, n_a, n_b, 0.0, 0.0, 999, RngStream(1))
+        bootstrap_null_p(pooled, n_a, n_b, 0.0, 0.0, 999, RngStream(1))
 
 
 def test_bootstrap_rejects_inconsistent_sizes():
-    items, n_a, n_b = _pooled([5, 5], [5, 5])
-    with pytest.raises(ValueError):
-        bootstrap_null_p(items, n_a + 1, n_b, 0.0, 0.0, 1000, RngStream(1))
+    pooled, n_a, n_b = _pooled([5, 5], [5, 5])
+    with pytest.raises(ValueError, match="must equal the pooled item count"):
+        bootstrap_null_p(pooled, n_a + 1, n_b, 0.0, 0.0, 1000, RngStream(1))
+
+
+def test_bootstrap_rejects_negative_counts():
+    # the sizes match the counts' sum, so only the sign can reject them
+    with pytest.raises(ValueError, match="must not be negative"):
+        bootstrap_null_p([12, -2], 5, 5, 0.0, 0.0, 1000, RngStream(1))
 
 
 # ---------------------------------------------------------------------------
