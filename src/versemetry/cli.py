@@ -6,10 +6,10 @@ under ``--out`` (default ``out/``) in a ``<command>/`` directory
 ``--out`` itself) together with a ``run.json`` manifest.  A command that
 fails writes no files.  The manifest records exactly the parsed options of
 the command, apart from ``--corpus``, ``--out`` and ``--seed``; the seed
-separately; and SHA-256 hashes of every corpus input file, so a run can be
-reproduced exactly.  The output directory itself is not part of the
-manifest: trees produced by identical runs into different directories are
-byte-identical.
+separately; and SHA-256 hashes of every corpus file the run parsed, so a
+run can be reproduced exactly.  The output directory itself is not part of
+the manifest: trees produced by identical runs into different directories
+are byte-identical.
 
 Exit codes: 0 success, 1 analysis/corpus error or unwritable output (message
 on stderr), 2 usage.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from functools import partial
@@ -31,7 +30,6 @@ from .corpus import (
     CorpusError,
     Poem,
     build_poem,
-    corpus_files,
     filtered_line_numbers,
     parse_corpus,
     read_json,
@@ -140,17 +138,11 @@ def test_result_row(label: str, result: TestResult, *keys) -> tuple:
             result.dropped_categories, result.merged_categories)
 
 
-def write_run_manifest(directory: Path, command: str, corpus_root: Path,
-                       parameters: Mapping[str, object], seed: int) -> None:
-    inputs = {name: "sha256:" + hashlib.sha256(
-        (corpus_root / name).read_bytes()).hexdigest()
-        for name in corpus_files(corpus_root)}
+def write_run_manifest(directory: Path, command: str, corpus: Corpus,
+                       parameters: dict[str, object], seed: int) -> None:
     _write_json(directory / "run.json", {
-        "command": command,
-        "parameters": dict(sorted(parameters.items())),
-        "seed": seed,
-        "inputs": dict(sorted(inputs.items())),
-    })
+        "command": command, "parameters": parameters, "seed": seed,
+        "inputs": dict(corpus.inputs)})
 
 
 def _rendered(outputs: Mapping[str, object]) -> dict[str, object]:
@@ -406,9 +398,12 @@ def cmd_metre_incidence(args: argparse.Namespace, corpus: Corpus) -> dict:
     }
 
 
-def _fit_row(unit: str, first: int, last: int, n_hapax: int, fit) -> tuple:
-    return (unit, first, last, fit.slope * 100.0, fit.intercept, fit.r,
-            n_hapax)
+def _fit_row(unit: str, series, fit) -> tuple:
+    """The FIT_COLUMNS row of a hapax (series, fit) pair: its least and
+    greatest line (partition units may come in any order) and the count at
+    its last point."""
+    return (unit, min(series)[0], max(series)[0], fit.slope * 100.0,
+            fit.intercept, fit.r, series[-1][1])
 
 
 def _hapax_series_outputs(poem_id: str, series, fit) -> dict:
@@ -430,9 +425,7 @@ def cmd_hapax_fit(args: argparse.Namespace, corpus: Corpus) -> dict:
     series, fit = hapax_cumulative_fit(poem, index.hapax_set, args.first,
                                        args.last)
     return {**_hapax_series_outputs(poem.id, series, fit),
-            f"fit-{poem.id}": (FIT_COLUMNS, [
-                _fit_row(poem.id, series[0][0], series[-1][0], series[-1][1],
-                         fit)])}
+            f"fit-{poem.id}": (FIT_COLUMNS, [_fit_row(poem.id, series, fit)])}
 
 
 def _parse_unit(corpus: Corpus, spec: str) -> tuple[Poem, int | None, int | None]:
@@ -452,18 +445,11 @@ def _parse_unit(corpus: Corpus, spec: str) -> tuple[Poem, int | None, int | None
 def cmd_hapax_segments(args: argparse.Namespace, corpus: Corpus) -> dict:
     index = build_compound_index(corpus)
     units = [_parse_unit(corpus, spec) for spec in args.units]
-    mode = SegmentMode(args.mode)
-    unit_fits, combined = segment_fits(units, mode, index.hapax_set)
-    # (first line, last line, hapax count) of each unit's series
-    spans = [(series[0][0], *series[-1]) for series, _ in unit_fits]
-    rows = [_fit_row(f"{poem.id}:{first}-{last}", first, last, n_hapax, fit)
-            for (poem, _, _), (first, last, n_hapax), (_, fit)
-            in zip(units, spans, unit_fits)]
-    total_hapax = sum(n_hapax for _, _, n_hapax in spans)
-    merged_lines = sum(last - first + 1 for first, last, _ in spans)
-    combined_span = (1, merged_lines) if mode is SegmentMode.MERGE else (
-        min(first for first, _, _ in spans), max(last for _, last, _ in spans))
-    rows.append(_fit_row("combined", *combined_span, total_hapax, combined))
+    unit_fits, combined = segment_fits(units, SegmentMode(args.mode),
+                                       index.hapax_set)
+    rows = [_fit_row(f"{poem.id}:{series[0][0]}-{series[-1][0]}", series, fit)
+            for (poem, _, _), (series, fit) in zip(units, unit_fits)]
+    rows.append(_fit_row("combined", *combined))
     return {f"segments-{args.mode}": (FIT_COLUMNS, rows)}
 
 
@@ -657,8 +643,7 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
 
     def hapax_fit(poem: Poem):
         series, fit = hapax_cumulative_fit(poem, index.hapax_set)
-        row = _fit_row(poem.id, 1, poem.line_count, series[-1][1], fit)
-        return {"fits": (FIT_COLUMNS, [row]),
+        return {"fits": (FIT_COLUMNS, [_fit_row(poem.id, series, fit)]),
                 **_hapax_series_outputs(poem.id, series, fit)}
 
     def shared():
@@ -715,7 +700,8 @@ def cmd_report(args: argparse.Namespace, corpus: Corpus) -> dict:
 
 # ---------------------------------------------------------------- parser ----
 
-def _common_parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    # the options of every analysis subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="root RNG seed (default 0)")
@@ -723,19 +709,8 @@ def _common_parser() -> argparse.ArgumentParser:
                         help="output directory (default out/)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table format (default csv)")
-    return common
-
-
-def _corpus_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--corpus", required=True,
+    common.add_argument("--corpus", required=True,
                         help="canonical corpus directory")
-    return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
-    with_corpus = _corpus_parser()
     parser = argparse.ArgumentParser(
         prog="versemetry",
         description="Stylometric analyses over annotated verse corpora.")
@@ -747,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output directory (default out/)")
     convert.set_defaults(func=cmd_convert)
 
-    sense = sub.add_parser("sensepause", parents=[common, with_corpus],
+    sense = sub.add_parser("sensepause", parents=[common],
                            help="sense-pause ratios and t-test")
     sense.add_argument("--poem-a", required=True)
     sense.add_argument("--poem-b", required=True)
@@ -764,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     metre = sub.add_parser("metre", help="metrical pattern analyses")
     metre_sub = metre.add_subparsers(dest="subcommand", required=True)
 
-    rolling = metre_sub.add_parser("rolling", parents=[common, with_corpus])
+    rolling = metre_sub.add_parser("rolling", parents=[common])
     rolling.add_argument("--poem", required=True)
     rolling.add_argument("--granularity", choices=("half", "full"),
                          default="half")
@@ -774,21 +749,20 @@ def build_parser() -> argparse.ArgumentParser:
                          help="draw a vertical marker at this line")
     rolling.set_defaults(func=cmd_metre_rolling)
 
-    split = metre_sub.add_parser("split-tests", parents=[common, with_corpus])
+    split = metre_sub.add_parser("split-tests", parents=[common])
     split.add_argument("--poem", required=True)
     split.add_argument("--split-line", type=int, default=DEFAULT_SPLIT_LINE)
     split.add_argument("--bootstrap", type=int, default=20000,
                        help="bootstrap replicates (default 20000)")
     split.set_defaults(func=cmd_metre_split_tests)
 
-    indep = metre_sub.add_parser("independence", parents=[common, with_corpus])
+    indep = metre_sub.add_parser("independence", parents=[common])
     indep.add_argument("--poem", required=True)
     indep.add_argument("--first", type=int, default=None)
     indep.add_argument("--last", type=int, default=None)
     indep.set_defaults(func=cmd_metre_independence)
 
-    incidence = metre_sub.add_parser("incidence-r",
-                                     parents=[common, with_corpus])
+    incidence = metre_sub.add_parser("incidence-r", parents=[common])
     incidence.add_argument("--poem", required=True)
     incidence.add_argument("--pattern", required=True,
                            help=f"one of {'/'.join(HALF_LABELS)} or "
@@ -800,13 +774,13 @@ def build_parser() -> argparse.ArgumentParser:
     hapax = sub.add_parser("hapax", help="hapax compound regressions")
     hapax_sub = hapax.add_subparsers(dest="subcommand", required=True)
 
-    fit = hapax_sub.add_parser("fit", parents=[common, with_corpus])
+    fit = hapax_sub.add_parser("fit", parents=[common])
     fit.add_argument("--poem", required=True)
     fit.add_argument("--first", type=int, default=None)
     fit.add_argument("--last", type=int, default=None)
     fit.set_defaults(func=cmd_hapax_fit)
 
-    segments = hapax_sub.add_parser("segments", parents=[common, with_corpus])
+    segments = hapax_sub.add_parser("segments", parents=[common])
     segments.add_argument("--mode", choices=("partition", "merge"),
                           required=True)
     segments.add_argument("--unit", dest="units", action="append",
@@ -814,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="POEM[:FIRST-LAST]; repeat for each unit")
     segments.set_defaults(func=cmd_hapax_segments)
 
-    shared = sub.add_parser("shared", parents=[common, with_corpus],
+    shared = sub.add_parser("shared", parents=[common],
                             help="shared-compound null-model scores")
     shared.add_argument("--poems", default=None,
                         help="comma-separated poem ids (default: all)")
@@ -833,13 +807,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func in (("profiles", cmd_cluster_profiles),
                        ("dendrogram", cmd_cluster_dendrogram)):
-        profiles = cluster_sub.add_parser(name, parents=[common, with_corpus])
+        profiles = cluster_sub.add_parser(name, parents=[common])
         add_cluster_params(profiles)
         profiles.add_argument("--n", type=int, default=3)
         profiles.add_argument("--k", type=int, default=500)
         profiles.set_defaults(func=func)
 
-    sweep = cluster_sub.add_parser("sweep", parents=[common, with_corpus])
+    sweep = cluster_sub.add_parser("sweep", parents=[common])
     sweep.add_argument("--poem", required=True)
     add_cluster_params(sweep, with_poems=False)
     sweep.add_argument("--n-values", default="2,3,4,5",
@@ -848,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list or FIRST:LAST:STEP")
     sweep.set_defaults(func=cmd_cluster_sweep)
 
-    report = sub.add_parser("report", parents=[common, with_corpus],
+    report = sub.add_parser("report", parents=[common],
                             help="run the full battery")
     report.add_argument("--split-line", type=int, default=DEFAULT_SPLIT_LINE)
     report.add_argument("--bootstrap", type=int, default=20000)
@@ -867,14 +841,14 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         if "corpus" not in args:
             return args.func(args)
-        root, out = Path(args.corpus), Path(args.out)
+        corpus, out = parse_corpus(args.corpus), Path(args.out)
         if args.command != "report":
             out /= args.command
-        write_outputs(out, args.func(args, parse_corpus(root)), args.format)
+        write_outputs(out, args.func(args, corpus), args.format)
         options = vars(args)
         command = " ".join(options[key] for key in ("command", "subcommand")
                            if key in options)
-        write_run_manifest(out, command, root, {
+        write_run_manifest(out, command, corpus, {
             key: value for key, value in options.items()
             if key not in NOT_PARAMETERS}, args.seed)
         return 0

@@ -17,11 +17,13 @@ are ``Poem.scansion_codes``, its labels as a read-only array;
 ``Poem.ngram_stream``, its text normalized by ``normalize_text`` into one
 padded stream; and ``Poem.compound_tokens``, its compound tokens.  Every
 ``SampleWindow`` numbers the lines of its own poem; ``filtered_line_numbers``
-lists the lines of one part.
+lists the lines of one part.  A parsed ``Corpus`` names the files it was
+read from, with the SHA-256 digest of the bytes that were parsed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,7 +50,6 @@ __all__ = [
     "normalize_text",
     "build_poem",
     "parse_corpus",
-    "corpus_files",
     "write_corpus",
     "resolve_line_range",
     "rolling_windows",
@@ -199,7 +200,12 @@ class SampleWindow:
 
 @dataclass(frozen=True)
 class Corpus:
+    """Poems in manifest order.  ``inputs`` holds the (name relative to the
+    root, ``sha256:`` digest) of each file ``parse_corpus`` read, in read
+    order; a corpus built in memory has none."""
+
     poems: tuple[Poem, ...]
+    inputs: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     def poem(self, poem_id: str) -> Poem:
         for p in self.poems:
@@ -212,23 +218,35 @@ class Corpus:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def read_text(path: Path) -> str:
-    """A UTF-8 file's text; a missing or undecodable file is a CorpusError."""
+def _read(path: Path) -> tuple[bytes, str]:
+    """A UTF-8 file's bytes and their text; a missing or undecodable file is
+    a CorpusError.  CR and CRLF line ends are kept: every reader splits the
+    text with ``str.splitlines``, and JSON takes a CR for whitespace."""
     if not path.is_file():
         raise CorpusError(f"missing file: {path}")
+    data = path.read_bytes()
     try:
-        return path.read_text(encoding="utf-8")
+        return data, data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not UTF-8 text: {exc}")
+
+
+def read_text(path: Path) -> str:
+    """A UTF-8 file's text; a missing or undecodable file is a CorpusError."""
+    return _read(path)[1]
+
+
+def _json_value(path: Path, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: invalid JSON: {exc}")
 
 
 def read_json(path: Path):
     """A JSON file's value; a missing, undecodable or malformed file is a
     CorpusError."""
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: invalid JSON: {exc}")
+    return _json_value(path, read_text(path))
 
 
 def _verse_halves(text: str, poem_id: str) -> list[tuple[str, str]]:
@@ -339,11 +357,12 @@ def build_poem(poem_id: str, text: str, scansion: str | None,
                 parts=_validate_parts(parts, poem_id, n))
 
 
-def _manifest_entries(root: Path) -> Iterator[tuple[str, dict, object]]:
-    """Each poem's id, declared file names and raw part list, in manifest
-    order; the file names are checked, not read."""
+def _manifest_entries(root: Path,
+                      text: str) -> Iterator[tuple[str, dict, object]]:
+    """Each poem's id, declared file names and raw part list, in the order
+    of the manifest ``text``; the file names are checked, not read."""
     manifest_path = root / "corpus.json"
-    manifest = read_json(manifest_path)
+    manifest = _json_value(manifest_path, text)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("poems"), list):
         raise CorpusError(f'{manifest_path}: expected an object with a "poems" list')
     seen_ids = set()
@@ -364,24 +383,23 @@ def _manifest_entries(root: Path) -> Iterator[tuple[str, dict, object]]:
         yield poem_id, files, entry.get("parts")
 
 
-def corpus_files(root_path: str | Path) -> list[str]:
-    """Names of the manifest and of every file it declares, relative to
-    ``root_path``."""
-    return ["corpus.json"] + [
-        name for _, files, _ in _manifest_entries(Path(root_path))
-        for name in files.values() if name is not None]
-
-
 def parse_corpus(root_path: str | Path) -> Corpus:
-    """Parse and validate the corpus rooted at ``root_path``."""
+    """Parse and validate the corpus rooted at ``root_path``, hashing each
+    file as it is read."""
     root = Path(root_path)
+    inputs: dict[str, str] = {}
+
+    def read(name: str) -> str:
+        data, text = _read(root / name)
+        inputs[name] = "sha256:" + hashlib.sha256(data).hexdigest()
+        return text
+
     poems = []
-    for poem_id, files, parts in _manifest_entries(root):
+    for poem_id, files, parts in _manifest_entries(root, read("corpus.json")):
         text, scansion, compounds = (
-            None if name is None else read_text(root / name)
-            for name in files.values())
+            None if name is None else read(name) for name in files.values())
         poems.append(build_poem(poem_id, text, scansion, compounds, parts))
-    return Corpus(poems=tuple(poems))
+    return Corpus(poems=tuple(poems), inputs=tuple(inputs.items()))
 
 
 def write_corpus(corpus: Corpus, root_path: str | Path) -> None:

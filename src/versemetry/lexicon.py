@@ -135,36 +135,32 @@ def segment_fits(
     units: Sequence[tuple[Poem, int | None, int | None]],
     mode: SegmentMode,
     hapax_set: frozenset[str],
-) -> tuple[list[tuple[list[tuple[int, int]], LinearFit]], LinearFit]:
-    """Per-unit (series, fit) pairs plus a combined fit.
+) -> tuple[list[tuple[list[tuple[int, int]], LinearFit]],
+           tuple[list[tuple[int, int]], LinearFit]]:
+    """Per-unit (series, fit) pairs plus the combined (series, fit) pair.
 
     Each unit's pair is what ``hapax_cumulative_fit`` returns for it, so the
-    last point of the series carries the unit's hapax count.  Partition mode
-    fits each unit independently and then the union series of all units.
-    Merge mode concatenates the units in the given order with contiguous line
-    renumbering before fitting, reproducing the adversarial merged-text
-    demonstrations; per-unit fits are returned alongside.
+    last point of the series carries the unit's hapax count; the combined
+    series runs on from one unit's count to the next, so its last point
+    carries the total.  Partition mode fits each unit independently and then
+    the union series of all units.  Merge mode concatenates the units in the
+    given order with contiguous line renumbering before fitting, reproducing
+    the adversarial merged-text demonstrations; per-unit fits are returned
+    alongside.
     """
     if len(units) < 2:
         raise AnalysisError("need at least two units")
 
     unit_fits: list[tuple[list[tuple[int, int]], LinearFit]] = []
-    xs: list[int] = []
-    ys: list[int] = []
-    offset = 0
-    running = 0
+    points: list[tuple[int, int]] = []
     for poem, first, last in units:
         series, fit = hapax_cumulative_fit(poem, hapax_set, first, last)
         unit_fits.append((series, fit))
-        if mode is SegmentMode.MERGE:
-            xs.extend(range(offset + 1, offset + len(series) + 1))
-            offset += len(series)
-        else:
-            xs.extend(x for x, _ in series)
-        ys.extend(running + y for _, y in series)
-        running += series[-1][1]
-    combined = ols_fit(xs, ys)
-    return unit_fits, combined
+        running = points[-1][1] if points else 0
+        xs = (range(len(points) + 1, len(points) + len(series) + 1)
+              if mode is SegmentMode.MERGE else (x for x, _ in series))
+        points.extend(zip(xs, (running + y for _, y in series)))
+    return unit_fits, (points, ols_fit(*zip(*points)))
 
 
 # Trials simulated per block: the working arrays scale with the block, not

@@ -563,7 +563,7 @@ def test_criterion_9_published_dataset(capsys):
     merged_units = ([(elene, None, None)]
                     + _part_units(corpus, "genesis", "B")
                     + [(corpus.poem("phoenix"), None, None)])
-    _, combined = segment_fits(merged_units, SegmentMode.MERGE, hapax)
+    _, (_, combined) = segment_fits(merged_units, SegmentMode.MERGE, hapax)
     checks.append((f"merged elene+genesisB+phoenix slope "
                    f"{_slope_per100(combined):.2f} vs "
                    f"{MERGED_ELENE_GENB_PHOENIX_SLOPE}",
@@ -572,7 +572,7 @@ def test_criterion_9_published_dataset(capsys):
 
     merged_units = (_part_units(corpus, "genesis", "A")
                     + [(corpus.poem("andreas"), None, None)])
-    _, combined = segment_fits(merged_units, SegmentMode.MERGE, hapax)
+    _, (_, combined) = segment_fits(merged_units, SegmentMode.MERGE, hapax)
     checks.append((f"merged genesisA+andreas slope "
                    f"{_slope_per100(combined):.2f} vs "
                    f"{MERGED_GENA_ANDREAS_SLOPE}",

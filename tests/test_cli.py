@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line surface."""
 
+import argparse
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -112,6 +114,35 @@ def tree_bytes(root):
         str(p.relative_to(root)): p.read_bytes()
         for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+# parser ---------------------------------------------------------------------
+
+def _leaf_parsers(parser, words=()):
+    """Each subcommand that takes no further subcommand, by its words."""
+    groups = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(words), parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _leaf_parsers(sub, (*words, name))
+
+
+def test_parser_option_inventory():
+    leaves = {name: {action.dest: action for action in sub._actions
+                     if not isinstance(action, argparse._HelpAction)}
+              for name, sub in _leaf_parsers(build_parser())}
+    assert len(leaves) == 13
+    convert = leaves.pop("convert")
+    assert sorted(convert) == ["dataset", "out"]
+    for name, options in leaves.items():
+        assert options["corpus"].option_strings == ["--corpus"], name
+        assert options["corpus"].required, name
+        assert [(options[dest].option_strings, options[dest].default)
+                for dest in ("seed", "out", "format")] == [
+            (["--seed"], 0), (["--out"], "out"), (["--format"], "csv")], name
+        assert options["format"].choices == ("csv", "json"), name
 
 
 # exit codes -----------------------------------------------------------------
@@ -545,6 +576,33 @@ def test_run_manifest_contents(corpus_dir, tmp_path):
                for v in manifest["inputs"].values())
 
 
+@pytest.mark.parametrize("change", ["delete", "rewrite"])
+def test_run_manifest_hashes_the_parsed_bytes(corpus_dir, tmp_path,
+                                              monkeypatch, change):
+    # a corpus file that changes once the analysis has run leaves the run
+    # and its manifest as they were
+    root = _corpus_copy(corpus_dir, tmp_path / "corpus")
+    parsed = {path.name: "sha256:" + hashlib.sha256(path.read_bytes()
+                                                    ).hexdigest()
+              for path in root.iterdir()}
+    compounds = root / "beta.compounds.tsv"
+    cmd_shared = cli.cmd_shared
+
+    def shared_then_change(args, corpus):
+        outputs = cmd_shared(args, corpus)
+        if change == "delete":
+            compounds.unlink()
+        else:
+            compounds.write_text("1\tlemma\n", encoding="utf-8")
+        return outputs
+
+    monkeypatch.setattr(cli, "cmd_shared", shared_then_change)
+    out = tmp_path / "out"
+    assert dispatch(["shared", "--corpus", str(root), "--out", str(out)]) == 0
+    manifest = json.loads((out / "shared" / "run.json").read_text())
+    assert manifest["inputs"] == parsed
+
+
 def test_split_tests_rows(corpus_dir, tmp_path):
     out = tmp_path / "out"
     assert dispatch(["metre", "split-tests", "--corpus", str(corpus_dir),
@@ -623,18 +681,34 @@ def test_hapax_fit_outputs(corpus_dir, tmp_path):
         100 * (float(fit["slope_per100"]) / 100))
 
 
+# alpha holds a hapax on each line divisible by 12 or 97, beta on each line
+# divisible by 15
+SEGMENT_CASES = {
+    "in-order": ("partition", ["alpha:1-350", "alpha:351-700"], [
+        ("alpha:1-350", 1, 350, 32), ("alpha:351-700", 351, 700, 33),
+        ("combined", 1, 700, 65)]),
+    "out-of-order": ("partition", ["alpha:351-700", "alpha:1-350"], [
+        ("alpha:351-700", 351, 700, 33), ("alpha:1-350", 1, 350, 32),
+        ("combined", 1, 700, 65)]),
+    "overlapping": ("partition", ["alpha:1-400", "alpha:301-700", "beta"], [
+        ("alpha:1-400", 1, 400, 37), ("alpha:301-700", 301, 700, 37),
+        ("beta:1-650", 1, 650, 43), ("combined", 1, 700, 117)]),
+    "merge": ("merge", ["alpha:351-700", "beta:10-200"], [
+        ("alpha:351-700", 351, 700, 33), ("beta:10-200", 10, 200, 13),
+        ("combined", 1, 541, 46)]),
+}
+
+
 def test_hapax_segments_outputs(corpus_dir, tmp_path):
-    out = tmp_path / "out"
-    assert dispatch(["hapax", "segments", "--corpus", str(corpus_dir),
-                     "--mode", "partition",
-                     "--unit", "alpha:1-350", "--unit", "alpha:351-700",
-                     "--out", str(out)]) == 0
-    rows = read_csv(out / "hapax" / "segments-partition.csv")
-    assert [row["unit"] for row in rows] == [
-        "alpha:1-350", "alpha:351-700", "combined"]
-    combined = rows[-1]
-    assert (combined["first_line"], combined["last_line"]) == ("1", "700")
-    assert int(combined["n_hapax"]) == sum(int(r["n_hapax"]) for r in rows[:2])
+    for case, (mode, units, expected) in SEGMENT_CASES.items():
+        out = tmp_path / case
+        assert dispatch(["hapax", "segments", "--corpus", str(corpus_dir),
+                         "--mode", mode,
+                         *(arg for unit in units for arg in ("--unit", unit)),
+                         "--out", str(out)]) == 0
+        rows = read_csv(out / "hapax" / f"segments-{mode}.csv")
+        assert [(row["unit"], int(row["first_line"]), int(row["last_line"]),
+                 int(row["n_hapax"])) for row in rows] == expected, case
 
 
 @pytest.mark.parametrize("argv", [

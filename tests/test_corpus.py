@@ -1,5 +1,7 @@
 """Tests for corpus parsing, validation, serialization, and windowing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -12,7 +14,6 @@ from versemetry.corpus import (
     Corpus,
     PartRange,
     Poem,
-    corpus_files,
     filtered_line_numbers,
     parse_corpus,
     resolve_line_range,
@@ -201,14 +202,41 @@ def test_parse_rejects_empty_poem_text(tmp_path):
         parse_corpus(tmp_path)
 
 
-def test_corpus_files_lists_declared_files(tmp_path):
+def _sha256(path):
+    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_parse_corpus_hashes_declared_files(tmp_path):
     write_manifest(tmp_path, [
         write_simple_poem_files(tmp_path, "p", ["a\tb"],
                                 compound_rows=["1\tlemma"]),
         write_simple_poem_files(tmp_path, "q", ["a\tb"],
                                 scansion_rows=["1\tA\tB"])])
-    assert corpus_files(tmp_path) == [
-        "corpus.json", "p.txt", "p.compounds.tsv", "q.txt", "q.scansion.tsv"]
+    names = ["corpus.json", "p.txt", "p.compounds.tsv", "q.txt",
+             "q.scansion.tsv"]
+    assert parse_corpus(tmp_path).inputs == tuple(
+        (name, _sha256(tmp_path / name)) for name in names)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_parse_keeps_crlf_and_cr_files_as_read(tmp_path, newline):
+    roots = {end: tmp_path / repr(end) for end in ("\n", newline)}
+    for root in roots.values():
+        root.mkdir()
+        write_manifest(root, [write_simple_poem_files(
+            root, "p", ["a one\tb one", "a two\t", "a three\tb three"],
+            scansion_rows=["line\ta\tb", "1\tA\tB", "3\t-\tC"],
+            compound_rows=["2\tsæ-wudu", "3\theofon-rice"],
+            parts=[{"name": "A", "first": 1, "last": 2},
+                   {"name": "B", "first": 3, "last": 3}])])
+    for path in roots[newline].glob("*"):
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    lf, other = (parse_corpus(root) for root in roots.values())
+    assert other == lf
+    assert other.poems[0].lines[2].b_pattern == "C"
+    assert other.inputs == tuple(
+        (name, _sha256(roots[newline] / name)) for name, _ in lf.inputs)
+    assert other.inputs != lf.inputs
 
 
 def test_round_trip(tmp_path):
@@ -227,6 +255,8 @@ def test_round_trip(tmp_path):
     corpus = build_corpus(poem1, poem2)
     write_corpus(corpus, tmp_path / "out")
     again = parse_corpus(tmp_path / "out")
+    # the files a corpus was read from are not part of its value
+    assert corpus.inputs == () and again.inputs
     assert again == corpus
 
     # a poem without lines cannot be parsed, so its copy does not re-parse

@@ -146,7 +146,7 @@ class TestSegmentFits:
         poem = unique_hapax_poem("p", 40, hapax_lines=range(3, 41, 3))
         index = build_compound_index(build_corpus(poem))
         _, full = hapax_cumulative_fit(poem, index.hapax_set)
-        unit_fits, combined = segment_fits(
+        unit_fits, (_, combined) = segment_fits(
             [(poem, 1, 20), (poem, 21, 40)], SegmentMode.PARTITION,
             index.hapax_set)
         assert len(unit_fits) == 2
@@ -175,7 +175,7 @@ class TestSegmentFits:
         a = unique_hapax_poem("a", 100, hapax_lines=range(2, 101, 2))
         b = unique_hapax_poem("b", 100, hapax_lines=range(2, 101, 2))
         index = build_compound_index(build_corpus(a, b))
-        _, combined = segment_fits(
+        _, (_, combined) = segment_fits(
             [(a, None, None), (b, None, None)], SegmentMode.MERGE,
             index.hapax_set)
         assert combined.r > 0.999
@@ -186,7 +186,7 @@ class TestSegmentFits:
         poem = unique_hapax_poem("p", 50)
         index = build_compound_index(build_corpus(poem))
         _, single = hapax_cumulative_fit(poem, index.hapax_set)
-        _, merged = segment_fits(
+        _, (_, merged) = segment_fits(
             [(poem, None, None)] * 3, SegmentMode.MERGE, index.hapax_set)
         assert abs(merged.slope - single.slope) < 1e-9
 
@@ -194,7 +194,7 @@ class TestSegmentFits:
         a = unique_hapax_poem("a", 5, hapax_lines=[2])
         b = unique_hapax_poem("b", 4, hapax_lines=[1, 4])
         index = build_compound_index(build_corpus(a, b))
-        unit_fits, combined = segment_fits(
+        unit_fits, (_, combined) = segment_fits(
             [(a, None, None), (b, None, None)], SegmentMode.MERGE,
             index.hapax_set)
         expected = ols_fit(range(1, 10), [0, 1, 1, 1, 1, 2, 2, 2, 3])

@@ -314,15 +314,21 @@ class TestCosineDistance:
 
     def test_matrix_invariants(self):
         gen = RngStream(3).generator()
-        profiles = profile_fixture({
-            f"s{i}": tuple(gen.random(6) + 0.01) for i in range(8)})
-        before = profiles.values.copy()
-        dist = cosine_distance_matrix(profiles)
-        assert np.array_equal(dist.values, dist.values.T)
-        assert np.all(np.diag(dist.values) == 0.0)
-        assert dist.values.min() >= 0.0 and dist.values.max() <= 1.0
-        # the profiles are normalised in a copy
-        assert np.array_equal(profiles.values, before)
+        small = gen.random((8, 6)) + 0.01
+        # many profiles, about a third of their features absent; the first
+        # feature keeps every profile nonzero
+        large = gen.random((300, 40)) * (gen.random((300, 40)) < 0.65)
+        large[:, 0] += 0.01
+        for values in (small, large):
+            profiles = profile_fixture({
+                f"s{i}": tuple(row) for i, row in enumerate(values)})
+            before = profiles.values.copy()
+            dist = cosine_distance_matrix(profiles)
+            assert np.array_equal(dist.values, dist.values.T)
+            assert np.all(np.diag(dist.values) == 0.0)
+            assert dist.values.min() >= 0.0 and dist.values.max() <= 1.0
+            # the profiles are normalised in a copy
+            assert np.array_equal(profiles.values, before)
 
 
 class TestAgglomerativeComplete:
