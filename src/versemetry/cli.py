@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -174,17 +175,11 @@ def write_outputs(directory: Path, outputs: Mapping[str, object],
 
 # ------------------------------------------------------------ converters ----
 
-def _convert_text_lines(raw: str) -> list[str]:
-    lines = []
-    for line in raw.splitlines():
-        if "\t" in line:
-            lines.append(line)
-        elif " / " in line:
-            a, _, b = line.partition(" / ")
-            lines.append(f"{a}\t{b}")
-        else:
-            lines.append(f"{line}\t")
-    return lines
+def _convert_text(raw: str) -> str:
+    # a line with no TAB splits at its first " / "; ``build_poem`` reads a
+    # line with neither as an a-verse and an empty b-verse
+    return "".join((line if "\t" in line else line.replace(" / ", "\t", 1))
+                   + "\n" for line in raw.splitlines())
 
 
 def _strip_header(rows: list[str], first_field: str) -> list[str]:
@@ -198,13 +193,11 @@ def _compound_rows(rows: list[str]) -> list[str]:
 
     Source rows may carry several lemmas after the line number; the canonical
     shape repeats the line number instead.  Rows without a recognizable lemma
-    pass through unchanged so ``build_poem`` rejects them with a precise
-    message.
+    pass through unchanged: ``build_poem`` skips a blank one and rejects any
+    other with a precise message.
     """
     out = []
     for raw in rows:
-        if not raw.strip():
-            continue
         fields = raw.split("\t")
         lemmas = [f for f in fields[1:] if f]
         if not lemmas:
@@ -246,7 +239,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if not text_files:
         raise CorpusError(f"no poem text files found under {source}")
     poems = tuple(build_poem(
-        path.stem, "\n".join(_convert_text_lines(read_text(path))),
+        path.stem, _convert_text(read_text(path)),
         _sidecar(source / f"{path.stem}.scansion.tsv"),
         _sidecar(source / f"{path.stem}.compounds.tsv", _compound_rows),
         parts_map.get(path.stem)) for path in text_files)
@@ -485,16 +478,18 @@ def _dendrogram(corpus: Corpus, poems: Sequence[str] | None, width: int,
 
 
 def _dendrogram_outputs(windows, tree) -> dict:
-    """The linkage tree as JSON and as a figure labelled by composition."""
-    sublabels = tuple(
-        "+".join(f"{name}:{count}" for name, count in w.composition.items())
-        for w in windows)
+    """The linkage tree as JSON and as a figure whose leaves also name their
+    windows' composition."""
+    parts = ("+".join(f"{name}:{count}" for name, count in w.composition.items())
+             for w in windows)
+    labelled = replace(tree, leaves=tuple(
+        f"{leaf} [{part}]" for leaf, part in zip(tree.leaves, parts)))
     return {
         "dendrogram.json": {"leaves": list(tree.leaves),
                             "merges": [[a, b, h] for a, b, h in tree.merges]},
         "dendrogram.svg": FigureSpec(
             kind=FigureKind.DENDROGRAM,
-            series=(("tree", tree), ("sublabels", sublabels)),
+            series=(("tree", labelled),),
             title="complete-linkage dendrogram (cosine distance)",
             y_label="cosine distance"),
     }

@@ -370,6 +370,10 @@ def _manifest_entries(root: Path,
         poem_id = entry.get("id") if isinstance(entry, dict) else None
         if not poem_id or not isinstance(poem_id, str):
             raise CorpusError(f"{manifest_path}: poem entry without id: {entry!r}")
+        # output file names are built from the id
+        if any(ch in poem_id for ch in "/\\\0"):
+            raise CorpusError(f"{manifest_path}: poem id {poem_id!r} must not "
+                              "contain '/', '\\' or NUL")
         if poem_id in seen_ids:
             raise CorpusError(f"duplicate poem id {poem_id!r}")
         seen_ids.add(poem_id)

@@ -43,8 +43,8 @@ class FigureSpec:
     ``SCATTER_FIT``: ``(label, points, fit)``; the analysis's fit of the
     (x, y) points, anything with a ``slope`` and an ``intercept``, is drawn
     across their x range.  ``STACKED_AREA``: ``(label, points)``, all over
-    the same x values.  ``DENDROGRAM``: ``("tree", Dendrogram)``, then
-    optionally ``("sublabels", labels)``, one label per leaf.
+    the same x values.  ``DENDROGRAM``: ``("tree", Dendrogram)``, each leaf drawn
+    under its label in ``Dendrogram.leaves``.
     ``SWEEP_STRIP``: ``(row label, values)``, a value a cluster index or
     ``None`` for an absent cell.
     """
@@ -237,10 +237,6 @@ def _render_dendrogram(canvas: _Canvas, spec: FigureSpec) -> None:
     label, tree = spec.series[0]
     if not isinstance(tree, Dendrogram) or not tree.leaves:
         raise AnalysisError("nothing to plot")
-    sublabels = ()
-    for extra_label, payload in spec.series[1:]:
-        if extra_label == "sublabels":
-            sublabels = tuple(payload)
     n = len(tree.leaves)
     order = (leaf_members(tree, n + len(tree.merges) - 1) if tree.merges
              else list(range(n)))
@@ -264,10 +260,7 @@ def _render_dendrogram(canvas: _Canvas, spec: FigureSpec) -> None:
     base_y = MARGIN_T + PLOT_H
     for rank, leaf in enumerate(order):
         x = leaf_x(rank)
-        text = tree.leaves[leaf]
-        if sublabels:
-            text = f"{text} [{sublabels[leaf]}]"
-        canvas.text(x, base_y + 10, text, size=8, anchor="end",
+        canvas.text(x, base_y + 10, tree.leaves[leaf], size=8, anchor="end",
                     extra=f' transform="rotate(-60 {_fmt(x)} {_fmt(base_y + 10)})"')
     _y_ticks(canvas, ys)
     canvas.line(MARGIN_L, MARGIN_T, MARGIN_L, base_y)

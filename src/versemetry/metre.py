@@ -72,7 +72,6 @@ class Granularity(Enum):
 class PatternCounts:
     labels: tuple[str, ...]
     counts: tuple[int, ...]
-    section: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -158,8 +157,7 @@ def pattern_counts(poem: Poem, granularity: Granularity,
     lo, hi = resolve_line_range(poem, first, last)
     prefix = _prefix_counts(codes, granularity)
     return PatternCounts(_LABELS[granularity],
-                         tuple((prefix[hi] - prefix[lo - 1]).tolist()),
-                         (lo, hi))
+                         tuple((prefix[hi] - prefix[lo - 1]).tolist()))
 
 
 def rolling_pattern_proportions(

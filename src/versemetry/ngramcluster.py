@@ -37,8 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, NgramStream, Poem, SampleWindow, normalize_text,
-                     rolling_windows)
+from .corpus import Corpus, NgramStream, Poem, SampleWindow, rolling_windows
 from .errors import AnalysisError
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "cosine_distance_matrix",
     "leaf_members",
     "majority_part",
-    "normalize_text",
     "robustness_sweep",
     "split_boundary_estimate",
     "top_two_assignment",
@@ -305,15 +303,15 @@ def cosine_distance_matrix(profiles: ProfileMatrix) -> DistanceMatrix:
                 f"sample {label}: zero profile vector (no top-k grams present)")
     matrix /= norms[:, None]
     try:
-        # two n x n float arrays in all: the product and the symmetrised
-        # distances, each updated in place
-        raw = matrix @ matrix.T
-        np.subtract(1.0, raw, out=raw)
+        # one n x n float array, updated in place.  numpy computes a matrix
+        # times its own transpose as one BLAS syrk triangle and mirrors it, and
+        # its loop without BLAS sums the same products in the same order for
+        # (i, j) and (j, i), so the product is exactly symmetric
+        dist = matrix @ matrix.T
+        np.subtract(1.0, dist, out=dist)
         # nonnegative vectors keep cosine in [0,1]; anything further out
         # than rounding noise means broken inputs
-        assert raw.min() > -1e-9 and raw.max() < 1.0 + 1e-9
-        dist = raw + raw.T  # exactly symmetric: IEEE addition commutes
-        dist /= 2.0
+        assert dist.min() > -1e-9 and dist.max() < 1.0 + 1e-9
         np.clip(dist, 0.0, 1.0, out=dist)
         np.fill_diagonal(dist, 0.0)
     except MemoryError:

@@ -40,13 +40,12 @@ import unicodedata
 
 import numpy as np
 
-from .corpus import PUNCTUATION_GLYPHS, Poem, VerseLine, filtered_line_numbers
+from .corpus import Poem, VerseLine, filtered_line_numbers
 from .errors import AnalysisError, InputError
 from .stats import TestResult, pooled_t_test
 
 __all__ = [
     "MarkPosition",
-    "PUNCTUATION_GLYPHS",
     "SensePauseMark",
     "RatioReport",
     "classify_sense_pauses",
@@ -55,14 +54,13 @@ __all__ = [
     "mean_syllables_per_line",
 ]
 
-# the modes' glyph subsets, which with the comma make up PUNCTUATION_GLYPHS;
-# in the full enumerated set the parenthesis pair counts as a single mark, so
-# the "first seven" legacy subset ends at the hyphen
+# the modes' glyph subsets, which with the comma make up corpus's
+# PUNCTUATION_GLYPHS; in the full enumerated set the parenthesis pair counts
+# as a single mark, so the "first seven" legacy subset ends at the hyphen
 _CORE_GLYPHS = frozenset(".?!;:()-")
 _TYPOGRAPHIC_QUOTES = frozenset("‘’“”")
 _ASCII_QUOTES = frozenset("'\"")
 _QUOTES = _TYPOGRAPHIC_QUOTES | _ASCII_QUOTES
-STRICT_GLYPHS = _CORE_GLYPHS
 
 _VOWEL_CODES = np.array(sorted(map(ord, "aeiouyæœ")))
 _COMMA, _DOT = ord(","), ord(".")
@@ -102,7 +100,7 @@ _POSITIONS = (MarkPosition.INTRALINE, MarkPosition.FINAL)
 def _glyph_set(strict_compat: bool, ascii_quotes: bool,
                count_hyphen: bool) -> frozenset[str]:
     if strict_compat:
-        return STRICT_GLYPHS
+        return _CORE_GLYPHS
     glyphs = _CORE_GLYPHS | _TYPOGRAPHIC_QUOTES
     if ascii_quotes:
         glyphs |= _ASCII_QUOTES

@@ -148,6 +148,19 @@ def _gamma_p_series(a: float, x: float) -> float:
             break
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
+
+def _lentz_step(an: float, bn: float, c: float,
+                d: float) -> tuple[float, float]:
+    # one modified-Lentz step through the term an / (bn + ...): the new c and d
+    d = an * d + bn
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    c = bn + an / c
+    if abs(c) < _FPMIN:
+        c = _FPMIN
+    return c, 1.0 / d
+
+
 def _gamma_q_contfrac(a: float, x: float) -> float:
     # Lentz evaluation of the continued fraction for Q(a,x); requires x >= a+1
     b = x + 1.0 - a
@@ -157,13 +170,7 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz_step(an, b, c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -197,22 +204,10 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz_step(aa, 1.0, c, d)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz_step(aa, 1.0, c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -316,22 +311,6 @@ def pooled_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
 # Chi-square tests on count vectors
 # --------------------------------------------------------------------------
 
-def _contingency_statistic(table: np.ndarray) -> tuple[float, float]:
-    """Pearson statistic and min expected count for an r x c table.
-
-    Cells in all-zero rows/columns have zero expectation and contribute
-    nothing; callers are responsible for adjusting df for dropped lines.
-    """
-    row = table.sum(axis=1, keepdims=True)
-    col = table.sum(axis=0, keepdims=True)
-    n = float(table.sum())
-    expected = row * col / n
-    mask = expected > 0
-    stat = float((((table - expected) ** 2)[mask] / expected[mask]).sum())
-    min_exp = float(expected[mask].min()) if mask.any() else float("nan")
-    return stat, min_exp
-
-
 def chi2_homogeneity(counts_a: Sequence[int], counts_b: Sequence[int]) -> TestResult:
     """Chi-square test that two count vectors come from one distribution."""
     ca = np.asarray(counts_a, dtype=float)
@@ -413,15 +392,18 @@ def chi2_independence(table: Sequence[Sequence[int]]) -> TestResult:
     t = t[keep_rows][:, keep_cols]
     if t.shape[0] < 2 or t.shape[1] < 2:
         raise AnalysisError("degenerate contingency table")
-    stat, min_exp = _contingency_statistic(t)
+    # every kept row and column holds a count, so every expected count is > 0
+    n = float(t.sum())
+    expected = t.sum(axis=1, keepdims=True) * t.sum(axis=0, keepdims=True) / n
+    stat = float((((t - expected) ** 2) / expected).sum())
     df = (t.shape[0] - 1) * (t.shape[1] - 1)
     return TestResult(
         statistic=stat,
         df=float(df),
         p_value=chi_square_p(stat, df),
         method=TestMethod.CHI2_INDEPENDENCE,
-        n_obs=int(t.sum()),
-        min_expected=min_exp,
+        n_obs=int(n),
+        min_expected=float(expected.min()),
         dropped_categories=dropped,
     )
 

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from versemetry.cli import dispatch
-from versemetry.corpus import Corpus, PartRange, Poem, VerseLine, rolling_windows
+from versemetry.corpus import (PUNCTUATION_GLYPHS, Corpus, PartRange, Poem, VerseLine,
+                               normalize_text, rolling_windows)
 from versemetry.errors import AnalysisError
 from versemetry.lexicon import PairScore, _null_shared_counts
 from versemetry.metre import FULL_LABELS, HALF_LABELS, Granularity, PairingLog
@@ -26,11 +27,9 @@ from versemetry.ngramcluster import (
     agglomerative_complete,
     build_profiles,
     cosine_distance_matrix,
-    normalize_text,
     top_two_assignment,
     window_id,
 )
-from versemetry.sensepause import PUNCTUATION_GLYPHS
 from versemetry.stats import RngStream, student_t_p
 
 

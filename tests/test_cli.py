@@ -235,6 +235,29 @@ def test_malformed_corpus_is_one_error_line(corpus_dir, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("poem_id", ["x/../../../escaped", "x\\..\\escaped",
+                                     "a\u0000b"],
+                         ids=["slash", "backslash", "nul"])
+@pytest.mark.parametrize("argv", [
+    ["metre", "rolling", "--poem", None, "--width", "200", "--step", "100"],
+    ["report"]], ids=["metre-rolling", "report"])
+def test_poem_id_that_is_not_one_file_name_is_one_error_line(
+        corpus_dir, tmp_path, capsys, poem_id, argv):
+    # output file names are built from poem ids, so such an id could write
+    # outside --out, or fail with a traceback after the first files
+    root = _corpus_copy(corpus_dir, tmp_path / "corpus")
+    manifest = json.loads((root / "corpus.json").read_text(encoding="utf-8"))
+    manifest["poems"][0]["id"] = poem_id
+    (root / "corpus.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code = dispatch([poem_id if a is None else a for a in argv]
+                    + ["--corpus", str(root), "--out", str(tmp_path / "run" / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "must not contain" in err[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
+
+
 @pytest.mark.parametrize("split_line", ["-5", "0", "700", "701"])
 def test_rolling_split_line_outside_poem(corpus_dir, tmp_path, capsys,
                                          split_line):

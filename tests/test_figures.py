@@ -119,10 +119,9 @@ def test_two_leaf_dendrogram_single_bracket():
 
 
 def test_dendrogram_sublabels_rendered():
-    tree = Dendrogram(merges=((0, 1, 0.4),), leaves=("s0", "s1"))
-    spec = FigureSpec(kind=FigureKind.DENDROGRAM,
-                      series=(("tree", tree), ("sublabels", ("A:10", "B:20"))))
-    doc = render_figure(spec)
+    tree = Dendrogram(merges=((0, 1, 0.4),), leaves=("s0 [A:10]", "s1 [B:20]"))
+    doc = render_figure(FigureSpec(kind=FigureKind.DENDROGRAM,
+                                   series=(("tree", tree),)))
     assert "s0 [A:10]" in doc
     assert "s1 [B:20]" in doc
 

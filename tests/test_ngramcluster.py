@@ -1,14 +1,19 @@
 """N-gram profiles, cosine distances, complete-linkage clustering, sweep."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from versemetry import ngramcluster
-from versemetry.corpus import SampleWindow, rolling_windows
+from versemetry.corpus import (PUNCTUATION_GLYPHS, SampleWindow, normalize_text,
+                               rolling_windows)
 from versemetry.errors import AnalysisError
 from versemetry.ngramcluster import (
     DEFAULT_K_VALUES,
@@ -20,13 +25,11 @@ from versemetry.ngramcluster import (
     clustering_quality,
     cosine_distance_matrix,
     majority_part,
-    normalize_text,
     robustness_sweep,
     split_boundary_estimate,
     top_two_assignment,
     window_id,
 )
-from versemetry.sensepause import PUNCTUATION_GLYPHS
 from versemetry.stats import RngStream
 
 from helpers import (brute_force_complete, build_corpus, build_poem,
@@ -329,6 +332,26 @@ class TestCosineDistance:
             assert dist.values.min() >= 0.0 and dist.values.max() <= 1.0
             # the profiles are normalised in a copy
             assert np.array_equal(profiles.values, before)
+        # the symmetry rests on the product alone, whatever the BLAS threads
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS":
+                   threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-c", _SYMMETRY_CHILD], env=env,
+                           input=large.tobytes(), check=True)
+
+
+SRC = Path(ngramcluster.__file__).parents[1]
+_SYMMETRY_CHILD = """
+import sys
+import numpy as np
+from versemetry.corpus import SampleWindow
+from versemetry.ngramcluster import ProfileMatrix, cosine_distance_matrix
+values = np.frombuffer(sys.stdin.buffer.read()).reshape(300, 40)
+d = cosine_distance_matrix(ProfileMatrix(
+    samples=tuple(SampleWindow(f"s{i}", 1, 1, {f"s{i}": 1}) for i in range(300)),
+    features=tuple(map(str, range(40))), values=values)).values
+assert np.array_equal(d, d.T) and np.all(np.diag(d) == 0.0)
+"""
 
 
 class TestAgglomerativeComplete:

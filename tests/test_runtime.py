@@ -55,5 +55,12 @@ def test_every_exported_name_exists_and_is_listed_once():
         assert len(names) == len(set(names)), path.name
         assert [name for name in names if not hasattr(module, name)] == [], \
             path.name
+        # a submodule exports only what it defines; the package gathers
+        if path.stem != "__init__":
+            imported = {alias.asname or alias.name.partition(".")[0]
+                        for node in ast.parse(path.read_text("utf-8")).body
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        for alias in node.names}
+            assert sorted(imported.intersection(names)) == [], path.name
         checked += 1
     assert checked >= 8

@@ -491,4 +491,3 @@ def test_mode_glyph_sets_and_the_comma_make_up_the_punctuation_set():
     glyphs = frozenset().union(*(sensepause._glyph_set(*mode)
                                  for mode in modes))
     assert glyphs | {","} == corpus.PUNCTUATION_GLYPHS
-    assert sensepause.PUNCTUATION_GLYPHS is corpus.PUNCTUATION_GLYPHS

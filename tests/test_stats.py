@@ -80,6 +80,50 @@ def test_chi_square_p_trivial_and_standard_values():
     assert 0.4 < chi_square_p(24.0, 24) < 0.5
 
 
+# recorded reprs, so that a change in the last bit fails here where the
+# oracle tables allow 1e-8; the arguments take each function down both of
+# its branches (x < a + 1 or not for the gamma, x < (a + 1)/(a + b + 2) or
+# not for the beta) and include criterion 1's (t, df)
+PINNED_SPECIAL_VALUES = [
+    (stats.regularized_beta, (0.5, 0.5, 0.1), "0.20483276469913328"),
+    (stats.regularized_beta, (0.5, 0.5, 0.9), "0.7951672353008667"),
+    (stats.regularized_beta, (2.0, 3.0, 0.2), "0.18079999999999988"),
+    (stats.regularized_beta, (2.0, 3.0, 0.7), "0.9163"),
+    (stats.regularized_beta, (10.0, 0.5, 0.3), "1.2205229279531734e-06"),
+    (stats.regularized_beta, (10.0, 0.5, 0.95), "0.31715157546554373"),
+    (stats.regularized_beta, (0.3, 7.5, 0.01), "0.4976291390471239"),
+    (stats.regularized_beta, (0.3, 7.5, 0.5), "0.9993290843095567"),
+    (stats.regularized_beta, (50.0, 60.0, 0.4), "0.12470685834309153"),
+    (stats.regularized_beta, (50.0, 60.0, 0.5), "0.830907293901681"),
+    (stats.regularized_gamma_q, (0.5, 0.2), "0.5270892568655383"),
+    (stats.regularized_gamma_q, (0.5, 3.0), "0.014305878435429633"),
+    (stats.regularized_gamma_q, (3.0, 1.5), "0.8088468305380582"),
+    (stats.regularized_gamma_q, (3.0, 9.0), "0.006232195106377318"),
+    (stats.regularized_gamma_q, (12.5, 10.0), "0.7468253060165373"),
+    (stats.regularized_gamma_q, (12.5, 30.0), "0.0001045548613152645"),
+    (stats.regularized_gamma_q, (100.0, 90.0), "0.8417790108135703"),
+    (stats.regularized_gamma_q, (100.0, 130.0), "0.0027504083673065157"),
+    (student_t_p, (0.94, 6), "0.383502205602828"),
+    (student_t_p, (1.03, 9), "0.32989432802016916"),
+    (student_t_p, (2.07, 27), "0.04814227006122483"),
+    (student_t_p, (0.19, 7), "0.8547014880910837"),
+    (student_t_p, (5.0, 3), "0.015392438073302291"),
+    (student_t_p, (12.0, 40), "7.824171304255941e-15"),
+    (student_t_p, (0.5, 120.5), "0.6179869299235691"),
+    (chi_square_p, (0.5, 1), "0.4795001221869536"),
+    (chi_square_p, (3.841459, 1), "0.049999994653195795"),
+    (chi_square_p, (24.0, 24), "0.4615973330636174"),
+    (chi_square_p, (40.0, 10), "1.694474393006736e-05"),
+    (chi_square_p, (2.0, 30), "0.9999999999997"),
+    (chi_square_p, (150.0, 100), "0.0009039320423539931"),
+]
+
+
+@pytest.mark.parametrize("func,args,want", PINNED_SPECIAL_VALUES)
+def test_special_functions_pinned_to_the_bit(func, args, want):
+    assert repr(func(*args)) == want
+
+
 # The published (t, df, P) tuples were rounded from one unrounded statistic,
 # so the reproducible claim is that each printed P is the exact two-sided tail
 # of some t that rounds to the printed t.  Criterion 1 in the acceptance suite
